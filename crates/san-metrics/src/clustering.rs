@@ -32,7 +32,8 @@ pub enum NodeSet {
     Attr,
 }
 
-/// Counts directed links among a set of social nodes.
+/// Counts directed links among a set of social nodes (the single-node
+/// path: O(deg), no per-graph buffer).
 fn directed_links_among(san: &impl SanRead, nodes: &[SocialId]) -> usize {
     if nodes.len() < 2 {
         return 0;
@@ -49,63 +50,99 @@ fn directed_links_among(san: &impl SanRead, nodes: &[SocialId]) -> usize {
     count
 }
 
-/// Exact clustering coefficient of a social node.
-pub fn local_clustering_social(san: &impl SanRead, u: SocialId) -> f64 {
-    let nbrs = san.social_neighbors(u);
-    let d = nbrs.len();
+/// `c = L / (d·(d−1))` for a neighbourhood of `d` nodes holding `L`
+/// directed links; 0 below two neighbours.
+fn coefficient(links: usize, d: usize) -> f64 {
     if d < 2 {
         return 0.0;
     }
-    directed_links_among(san, &nbrs) as f64 / (d * (d - 1)) as f64
+    links as f64 / (d * (d - 1)) as f64
+}
+
+/// Exact clustering coefficient of a social node.
+pub fn local_clustering_social(san: &impl SanRead, u: SocialId) -> f64 {
+    let nbrs = san.social_neighbors(u);
+    coefficient(directed_links_among(san, &nbrs), nbrs.len())
 }
 
 /// Exact clustering coefficient of an attribute node (community cohesion of
 /// the users sharing the attribute).
 pub fn local_clustering_attr(san: &impl SanRead, a: AttrId) -> f64 {
     let members = san.members_of(a);
-    let d = members.len();
-    if d < 2 {
-        return 0.0;
+    coefficient(directed_links_among(san, members), members.len())
+}
+
+/// `L(centre)` for the neighbourhood `nodes` of the centre tagged `tag`:
+/// marks the neighbourhood in `stamp` (indexed by social id) with the tag,
+/// then counts the out-links of each member that land on a marked node.
+/// Tags must be distinct across the centres of one sweep, and never
+/// `u32::MAX` (the buffer's initial value).
+fn stamped_links(san: &impl SanRead, nodes: &[SocialId], tag: u32, stamp: &mut [u32]) -> usize {
+    if nodes.len() < 2 {
+        return 0;
     }
-    directed_links_among(san, members) as f64 / (d * (d - 1)) as f64
+    for w in nodes {
+        stamp[w.index()] = tag;
+    }
+    let mut count = 0;
+    for &w in nodes {
+        for &x in san.out_neighbors(w) {
+            if x != w && stamp[x.index()] == tag {
+                count += 1;
+            }
+        }
+    }
+    count
+}
+
+/// `Σ c(x)` over the centres `san` iterates (all of `Ω`, or the owned
+/// range of a shard), in iteration order, with one stamp buffer reused
+/// across centres (each centre's id is its tag).
+fn clustering_sum(san: &impl SanRead, which: NodeSet) -> f64 {
+    let mut stamp = vec![u32::MAX; san.num_social_nodes()];
+    match which {
+        NodeSet::Social => san
+            .social_nodes()
+            .map(|u| {
+                let nbrs = san.social_neighbors(u);
+                coefficient(stamped_links(san, &nbrs, u.0, &mut stamp), nbrs.len())
+            })
+            .sum(),
+        NodeSet::Attr => san
+            .attr_nodes()
+            .map(|a| {
+                let members = san.members_of(a);
+                coefficient(stamped_links(san, members, a.0, &mut stamp), members.len())
+            })
+            .sum(),
+    }
 }
 
 /// Exact average clustering coefficient over `Ω` (O(Σ deg²); use
-/// [`approx_average_clustering`] for large networks).
+/// [`approx_average_clustering`] for large networks). Equal, bit for bit,
+/// to the average of [`local_clustering_social`] /
+/// [`local_clustering_attr`] in node order.
 pub fn average_clustering_exact(san: &impl SanRead, which: NodeSet) -> f64 {
-    match which {
-        NodeSet::Social => {
-            let n = san.num_social_nodes();
-            if n == 0 {
-                return 0.0;
-            }
-            san.social_nodes()
-                .map(|u| local_clustering_social(san, u))
-                .sum::<f64>()
-                / n as f64
-        }
-        NodeSet::Attr => {
-            let n = san.num_attr_nodes();
-            if n == 0 {
-                return 0.0;
-            }
-            san.attr_nodes()
-                .map(|a| local_clustering_attr(san, a))
-                .sum::<f64>()
-                / n as f64
-        }
+    let n = match which {
+        NodeSet::Social => san.num_social_nodes(),
+        NodeSet::Attr => san.num_attr_nodes(),
+    };
+    if n == 0 {
+        return 0.0;
     }
+    clustering_sum(san, which) / n as f64
 }
 
 /// Shard-parallel exact average clustering over `Ω`.
 ///
-/// Decomposition: each shard sums the exact `c(u)` of the nodes it owns —
-/// the shard view answers neighbourhood queries globally, so triangles
-/// whose corners live in *other* shards are counted exactly as in the
-/// sequential sweep — and the per-shard sums merge by addition in shard
-/// order before the single division by `|Ω|`. The result matches
-/// [`average_clustering_exact`] up to float-summation regrouping (the
-/// shard-equivalence suite pins ≤ 1e-12).
+/// Decomposition: each shard worker sums the exact `c(u)` of the nodes it
+/// owns with the same stamp-array loop as [`average_clustering_exact`]
+/// (one stamp buffer per worker) — the shard view answers neighbourhood
+/// queries globally, so triangles whose corners live in *other* shards
+/// are counted exactly as in the sequential sweep — and the per-shard sums
+/// merge by addition in shard order before the single division by `|Ω|`.
+/// The result matches [`average_clustering_exact`] up to float-summation
+/// regrouping (the shard-equivalence suite pins ≤ 1e-12).
 pub fn average_clustering_sharded(g: &ShardedCsrSan, which: NodeSet) -> f64 {
     let n = match which {
         NodeSet::Social => g.csr().num_social_nodes(),
@@ -115,16 +152,7 @@ pub fn average_clustering_sharded(g: &ShardedCsrSan, which: NodeSet) -> f64 {
         return 0.0;
     }
     let sum = g.fold_shards(
-        |shard| match which {
-            NodeSet::Social => shard
-                .social_nodes()
-                .map(|u| local_clustering_social(&shard, u))
-                .sum::<f64>(),
-            NodeSet::Attr => shard
-                .attr_nodes()
-                .map(|a| local_clustering_attr(&shard, a))
-                .sum::<f64>(),
-        },
+        |shard| clustering_sum(&shard, which),
         0.0f64,
         |acc, part| acc + part,
     );
@@ -294,8 +322,63 @@ pub fn attr_clustering_by_type(san: &impl SanRead) -> Vec<(AttrType, f64, usize)
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs::{arb_san, google_plus_every_7th_day};
+    use proptest::prelude::*;
     use san_graph::fixtures::figure1;
     use san_graph::San;
+
+    /// The per-node reference: the average of the single-node
+    /// coefficients, each over its own `HashSet` of `Γs`, in node order.
+    fn average_oracle(san: &impl SanRead, which: NodeSet) -> f64 {
+        match which {
+            NodeSet::Social => {
+                let n = san.num_social_nodes();
+                if n == 0 {
+                    return 0.0;
+                }
+                san.social_nodes()
+                    .map(|u| local_clustering_social(san, u))
+                    .sum::<f64>()
+                    / n as f64
+            }
+            NodeSet::Attr => {
+                let n = san.num_attr_nodes();
+                if n == 0 {
+                    return 0.0;
+                }
+                san.attr_nodes()
+                    .map(|a| local_clustering_attr(san, a))
+                    .sum::<f64>()
+                    / n as f64
+            }
+        }
+    }
+
+    fn assert_average_matches(san: &impl SanRead, ctx: &str) {
+        for which in [NodeSet::Social, NodeSet::Attr] {
+            assert_eq!(
+                average_clustering_exact(san, which).to_bits(),
+                average_oracle(san, which).to_bits(),
+                "{which:?} {ctx}"
+            );
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn stamped_average_matches_oracle(san in arb_san(40, 8)) {
+            assert_average_matches(&san, "San");
+            assert_average_matches(&san.freeze(), "CsrSan");
+        }
+    }
+
+    /// Every 7th day of a small Google+ timeline.
+    #[test]
+    fn google_plus_timeline_matches_oracle() {
+        google_plus_every_7th_day(|day, csr| assert_average_matches(csr, &format!("day {day}")));
+    }
 
     /// A directed triangle plus a pendant: u0<->u1, u1->u2, u2->u0, u3->u0.
     fn triangle() -> San {

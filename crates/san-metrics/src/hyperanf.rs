@@ -20,9 +20,52 @@
 //! *lifted* graph (attribute nodes wired to their members in both
 //! directions): lifted distances equal attribute distances plus one, so the
 //! attribute diameter falls out of the same machinery.
+//!
+//! # Kernel
+//!
+//! * **Flat registers.** The `2^b` registers of node `u` are bytes
+//!   `u·2^b .. (u+1)·2^b` of one `Vec<u8>`. Two such buffers hold rounds
+//!   `t` and `t+1` and swap after each round; nothing is allocated per
+//!   node or per round. A union is a per-register `max` over 16-byte
+//!   blocks, and a node changed iff its new registers differ from the old.
+//! * **Cached estimates.** `|c_u(t)|` is kept per node and recomputed (via
+//!   a `2^-r` table) only when `u`'s counter changed. `N(t)` is still
+//!   summed over every counted node in node order.
+//! * **Modified-node rounds** (Boldi–Rosa–Vigna). Round `t+1` recomputes
+//!   `u` only if a successor changed in round `t`; the others keep their
+//!   registers. This is exact: `c_u(t) ⊇ c_v(t−1)` for every successor
+//!   `v` (by the round's definition when `u` was recomputed, and by
+//!   induction when it was skipped), so if no `c_v(t)` differs from
+//!   `c_v(t−1)`, then `c_u(t+1) = c_u(t)`. Changed nodes mark their
+//!   predecessors (`Γs,in`, or a reverse index built once for a plain
+//!   adjacency list).
+//!
+//! The registers of every round, hence every estimate and the float series
+//! `N(0), N(1), …`, are **bit-identical** to the textbook per-node
+//! HyperLogLog union over every node in every round (kept as the test
+//! oracle), and to [`neighborhood_function_sharded`] for any shard count.
+//! Memory: `2·n·2^b` register bytes plus `8n` bytes of cached estimates,
+//! plus one-byte dirty/changed/init/count flags per node (a plain
+//! adjacency list adds its `4(n+1) + 4m`-byte reverse index).
 
 use san_graph::{SanRead, ShardedCsrSan, SocialId};
 use san_stats::SplitRng;
+use std::ops::Range;
+
+/// Registers per union block: `b ≥ 4`, so a counter is whole blocks.
+const BLOCK: usize = 16;
+
+/// `2^-r` for every register value `r`, as a bare exponent field (exact,
+/// and equal to `2f64.powi(-r)`).
+const POW2_NEG: [f64; 256] = {
+    let mut table = [0.0; 256];
+    let mut r = 0;
+    while r < 256 {
+        table[r] = f64::from_bits((1023 - r as u64) << 52);
+        r += 1;
+    }
+    table
+};
 
 /// A HyperLogLog cardinality counter with `2^b` registers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,10 +77,7 @@ pub struct HyperLogLog {
 impl HyperLogLog {
     /// Creates an empty counter; `b` must be in `4..=16`.
     pub fn new(b: u8) -> Self {
-        assert!(
-            (4..=16).contains(&b),
-            "register exponent b={b} out of range"
-        );
+        check_b(b);
         HyperLogLog {
             b,
             registers: vec![0; 1 << b],
@@ -46,13 +86,7 @@ impl HyperLogLog {
 
     /// Inserts a pre-hashed 64-bit value.
     pub fn insert_hash(&mut self, hash: u64) {
-        let idx = (hash >> (64 - self.b)) as usize;
-        let rest = hash << self.b;
-        // Rank = position of the leftmost 1 bit in the remaining bits, 1-based.
-        let rank = (rest.leading_zeros() as u8).min(64 - self.b) + 1;
-        if rank > self.registers[idx] {
-            self.registers[idx] = rank;
-        }
+        insert(&mut self.registers, self.b, hash);
     }
 
     /// Unions another counter into this one; returns `true` when any
@@ -72,26 +106,57 @@ impl HyperLogLog {
     /// Estimated cardinality (with the standard small-range linear-counting
     /// correction).
     pub fn estimate(&self) -> f64 {
-        let m = self.registers.len() as f64;
-        let alpha = match self.registers.len() {
-            16 => 0.673,
-            32 => 0.697,
-            64 => 0.709,
-            _ => 0.7213 / (1.0 + 1.079 / m),
-        };
-        let sum: f64 = self
-            .registers
-            .iter()
-            .map(|&r| 2f64.powi(-i32::from(r)))
-            .sum();
-        let raw = alpha * m * m / sum;
-        if raw <= 2.5 * m {
-            let zeros = self.registers.iter().filter(|&&r| r == 0).count();
-            if zeros > 0 {
-                return m * (m / zeros as f64).ln();
-            }
+        estimate(&self.registers)
+    }
+}
+
+fn check_b(b: u8) {
+    assert!(
+        (4..=16).contains(&b),
+        "register exponent b={b} out of range"
+    );
+}
+
+/// Inserts a pre-hashed value into the `2^b` registers `regs`.
+fn insert(regs: &mut [u8], b: u8, hash: u64) {
+    let idx = (hash >> (64 - b)) as usize;
+    let rest = hash << b;
+    // Rank = position of the leftmost 1 bit in the remaining bits, 1-based.
+    let rank = (rest.leading_zeros() as u8).min(64 - b) + 1;
+    if rank > regs[idx] {
+        regs[idx] = rank;
+    }
+}
+
+/// Cardinality estimate of one counter's registers.
+fn estimate(regs: &[u8]) -> f64 {
+    let m = regs.len() as f64;
+    let alpha = match regs.len() {
+        16 => 0.673,
+        32 => 0.697,
+        64 => 0.709,
+        _ => 0.7213 / (1.0 + 1.079 / m),
+    };
+    let sum: f64 = regs.iter().map(|&r| POW2_NEG[usize::from(r)]).sum();
+    let raw = alpha * m * m / sum;
+    if raw <= 2.5 * m {
+        let zeros = regs.iter().filter(|&&r| r == 0).count();
+        if zeros > 0 {
+            return m * (m / zeros as f64).ln();
         }
-        raw
+    }
+    raw
+}
+
+/// `dst = max(dst, src)` register by register, one 16-byte block at a time.
+#[inline]
+fn max_into(dst: &mut [u8], src: &[u8]) {
+    let (dst, _) = dst.as_chunks_mut::<BLOCK>();
+    let (src, _) = src.as_chunks::<BLOCK>();
+    for (d, s) in dst.iter_mut().zip(src) {
+        for (x, &y) in d.iter_mut().zip(s) {
+            *x = (*x).max(y);
+        }
     }
 }
 
@@ -105,6 +170,228 @@ fn hash_node(id: u64, seed: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)
+}
+
+/// The directed graph a HyperANF run walks: successors feed the unions,
+/// predecessors receive the modified-node marks.
+trait Hops {
+    fn num_nodes(&self) -> usize;
+    fn for_each_succ(&self, u: usize, f: impl FnMut(usize));
+    fn for_each_pred(&self, u: usize, f: impl FnMut(usize));
+}
+
+/// The social graph of a snapshot, read in place.
+struct Social<'a, S>(&'a S);
+
+impl<S: SanRead> Hops for Social<'_, S> {
+    fn num_nodes(&self) -> usize {
+        self.0.num_social_nodes()
+    }
+
+    fn for_each_succ(&self, u: usize, mut f: impl FnMut(usize)) {
+        for v in self.0.out_neighbors(SocialId(u as u32)) {
+            f(v.index());
+        }
+    }
+
+    fn for_each_pred(&self, u: usize, mut f: impl FnMut(usize)) {
+        for v in self.0.in_neighbors(SocialId(u as u32)) {
+            f(v.index());
+        }
+    }
+}
+
+/// A plain successor list plus its reverse index (CSR), built once.
+struct AdjList<'a> {
+    adj: &'a [Vec<u32>],
+    rev_off: Vec<usize>,
+    rev: Vec<u32>,
+}
+
+impl<'a> AdjList<'a> {
+    fn new(adj: &'a [Vec<u32>]) -> Self {
+        let n = adj.len();
+        let mut rev_off = vec![0usize; n + 1];
+        for &v in adj.iter().flatten() {
+            rev_off[v as usize + 1] += 1;
+        }
+        for i in 0..n {
+            rev_off[i + 1] += rev_off[i];
+        }
+        let mut cursor = rev_off.clone();
+        let mut rev = vec![0u32; rev_off[n]];
+        for (u, outs) in adj.iter().enumerate() {
+            for &v in outs {
+                rev[cursor[v as usize]] = u as u32;
+                cursor[v as usize] += 1;
+            }
+        }
+        AdjList { adj, rev_off, rev }
+    }
+}
+
+impl Hops for AdjList<'_> {
+    fn num_nodes(&self) -> usize {
+        self.adj.len()
+    }
+
+    fn for_each_succ(&self, u: usize, mut f: impl FnMut(usize)) {
+        for &v in &self.adj[u] {
+            f(v as usize);
+        }
+    }
+
+    fn for_each_pred(&self, u: usize, mut f: impl FnMut(usize)) {
+        for &v in &self.rev[self.rev_off[u]..self.rev_off[u + 1]] {
+            f(v as usize);
+        }
+    }
+}
+
+/// What every worker of one round reads: the graph, round `t`'s
+/// registers, and which nodes round `t+1` must recompute.
+struct Round<'a, G> {
+    g: &'a G,
+    /// Registers per counter (`2^b`).
+    m: usize,
+    cur: &'a [u8],
+    dirty: &'a [bool],
+    count: &'a [bool],
+}
+
+/// A worker's disjoint share of the per-node outputs of one round: the
+/// nodes `first .. first + est.len()`.
+struct Chunk<'a> {
+    first: usize,
+    /// The nodes' registers in round `t+1`.
+    regs: &'a mut [u8],
+    /// The nodes' cached estimates, refreshed when they change.
+    est: &'a mut [f64],
+    /// Whether each node's counter changed this round.
+    changed: &'a mut [bool],
+}
+
+impl<'a> Chunk<'a> {
+    /// Carves the whole-graph chunk into one chunk per contiguous node
+    /// range (the ranges must tile `0..n`).
+    fn split(self, ranges: &[Range<usize>], m: usize) -> Vec<Chunk<'a>> {
+        let reg_ranges: Vec<Range<usize>> = ranges.iter().map(|r| r.start * m..r.end * m).collect();
+        split_chunks(self.regs, &reg_ranges)
+            .into_iter()
+            .zip(split_chunks(self.est, ranges))
+            .zip(split_chunks(self.changed, ranges))
+            .zip(ranges)
+            .map(|(((regs, est), changed), r)| Chunk {
+                first: r.start,
+                regs,
+                est,
+                changed,
+            })
+            .collect()
+    }
+}
+
+/// One modified-node hop for the nodes of `chunk`; returns whether any of
+/// their counters changed.
+fn hop_chunk<G: Hops>(round: &Round<'_, G>, chunk: Chunk<'_>) -> bool {
+    let m = round.m;
+    let first = chunk.first;
+    chunk
+        .regs
+        .copy_from_slice(&round.cur[first * m..(first + chunk.est.len()) * m]);
+    let mut any = false;
+    let nodes = chunk
+        .regs
+        .chunks_exact_mut(m)
+        .zip(chunk.est.iter_mut())
+        .zip(chunk.changed.iter_mut());
+    for (u, ((regs, est), changed)) in (first..).zip(nodes) {
+        *changed = false;
+        if !round.dirty[u] {
+            continue;
+        }
+        round
+            .g
+            .for_each_succ(u, |v| max_into(regs, &round.cur[v * m..(v + 1) * m]));
+        if *regs != round.cur[u * m..(u + 1) * m] {
+            *changed = true;
+            any = true;
+            if round.count[u] {
+                *est = estimate(regs);
+            }
+        }
+    }
+    any
+}
+
+/// The HyperANF driver behind every public entry point: flat double
+/// buffer, cached estimates, modified-node rounds. `hop` runs one round
+/// over the whole-graph chunk — inline, or split across shard workers.
+fn run_anf<G: Hops>(
+    g: &G,
+    init: &[bool],
+    count: &[bool],
+    b: u8,
+    max_iters: usize,
+    seed: u64,
+    hop: impl Fn(&Round<'_, G>, Chunk<'_>) -> bool,
+) -> Vec<f64> {
+    let n = g.num_nodes();
+    assert_eq!(init.len(), n);
+    assert_eq!(count.len(), n);
+    if n == 0 {
+        return vec![0.0];
+    }
+    check_b(b);
+    let m = 1usize << b;
+    let mut cur = vec![0u8; n * m];
+    for (u, regs) in cur.chunks_exact_mut(m).enumerate() {
+        if init[u] {
+            insert(regs, b, hash_node(u as u64, seed));
+        }
+    }
+    let mut est: Vec<f64> = cur
+        .chunks_exact(m)
+        .zip(count)
+        .map(|(regs, &keep)| if keep { estimate(regs) } else { 0.0 })
+        .collect();
+    let total = |est: &[f64]| -> f64 {
+        est.iter()
+            .zip(count)
+            .filter(|(_, &keep)| keep)
+            .map(|(&e, _)| e)
+            .sum()
+    };
+    let mut series = vec![total(&est)];
+    let mut next = vec![0u8; n * m];
+    let mut dirty = vec![true; n];
+    let mut changed = vec![false; n];
+    for _ in 0..max_iters {
+        let round = Round {
+            g,
+            m,
+            cur: &cur,
+            dirty: &dirty,
+            count,
+        };
+        let whole = Chunk {
+            first: 0,
+            regs: &mut next,
+            est: &mut est,
+            changed: &mut changed,
+        };
+        let any_changed = hop(&round, whole);
+        std::mem::swap(&mut cur, &mut next);
+        if !any_changed {
+            break;
+        }
+        dirty.fill(false);
+        for u in (0..n).filter(|&u| changed[u]) {
+            g.for_each_pred(u, |p| dirty[p] = true);
+        }
+        series.push(total(&est));
+    }
+    series
 }
 
 /// HyperANF over an arbitrary successor structure.
@@ -123,56 +410,22 @@ pub fn neighborhood_function(
     max_iters: usize,
     seed: u64,
 ) -> Vec<f64> {
-    let n = adj.len();
-    assert_eq!(init.len(), n);
-    assert_eq!(count.len(), n);
-    if n == 0 {
-        return vec![0.0];
-    }
-    let mut counters: Vec<HyperLogLog> = (0..n)
-        .map(|u| {
-            let mut c = HyperLogLog::new(b);
-            if init[u] {
-                c.insert_hash(hash_node(u as u64, seed));
-            }
-            c
-        })
-        .collect();
-    let estimate_total = |cs: &[HyperLogLog]| -> f64 {
-        cs.iter()
-            .zip(count)
-            .filter(|(_, &keep)| keep)
-            .map(|(c, _)| c.estimate())
-            .sum()
-    };
-    let mut series = vec![estimate_total(&counters)];
-    for _ in 0..max_iters {
-        let mut next = counters.clone();
-        let mut any_changed = false;
-        for (u, outs) in adj.iter().enumerate() {
-            for &v in outs {
-                if next[u].union_with(&counters[v as usize]) {
-                    any_changed = true;
-                }
-            }
-        }
-        counters = next;
-        if !any_changed {
-            break;
-        }
-        series.push(estimate_total(&counters));
-    }
-    series
+    run_anf(
+        &AdjList::new(adj),
+        init,
+        count,
+        b,
+        max_iters,
+        seed,
+        hop_chunk,
+    )
 }
 
 /// Carves `buf` into disjoint mutable chunks matching contiguous `ranges`
 /// (which must cover `0..buf.len()` exactly — what
 /// [`ShardedCsrSan::social_ranges`] yields), so scoped shard workers can
 /// write their own node range without locks.
-fn split_chunks<'a, T>(
-    mut buf: &'a mut [T],
-    ranges: &[std::ops::Range<usize>],
-) -> Vec<&'a mut [T]> {
+fn split_chunks<'a, T>(mut buf: &'a mut [T], ranges: &[Range<usize>]) -> Vec<&'a mut [T]> {
     let mut out = Vec::with_capacity(ranges.len());
     for r in ranges {
         let (head, tail) = buf.split_at_mut(r.len());
@@ -185,121 +438,57 @@ fn split_chunks<'a, T>(
 
 /// Shard-parallel HyperANF over the directed social graph.
 ///
-/// Decomposition: every synchronous round writes `c_u(t+1)` for the nodes
-/// a shard owns into that shard's disjoint chunk of the double buffer,
-/// reading the previous round's counters globally (`c_v(t)` of an
-/// out-neighbour in another shard is just a shared read) — so the register
-/// evolution is **bit-for-bit identical** to [`neighborhood_function`]
-/// over the same adjacency. Per-node estimates are likewise filled into a
-/// shard-chunked buffer and then summed sequentially in node order, which
-/// keeps the reported series (and therefore the interpolated diameter)
-/// bit-identical too, not merely close.
+/// Decomposition: every round hands each shard worker its own node
+/// range's slice of the flat `t+1` register buffer, estimate cache and
+/// changed flags, while round `t`'s registers are a shared read (`c_v(t)`
+/// of an out-neighbour in another shard is just a load). The modified-node
+/// marks are set between rounds. The register evolution is therefore
+/// **bit-for-bit identical** to [`neighborhood_function`] over the same
+/// adjacency, and since `N(t)` is summed sequentially in node order, so is
+/// the reported series (and the interpolated diameter).
 pub fn neighborhood_function_sharded(
     g: &ShardedCsrSan,
     b: u8,
     max_iters: usize,
     seed: u64,
 ) -> Vec<f64> {
-    let csr = g.csr();
-    let n = csr.num_social_nodes();
-    if n == 0 {
-        return vec![0.0];
-    }
     let ranges = g.social_ranges();
-    let mut counters: Vec<HyperLogLog> = (0..n)
-        .map(|u| {
-            let mut c = HyperLogLog::new(b);
-            c.insert_hash(hash_node(u as u64, seed));
-            c
-        })
-        .collect();
-    let mut next = counters.clone();
-    let mut estimates = vec![0.0f64; n];
-
-    // One hop for the nodes of one chunk: copy each node's own counter
-    // (reusing the slot's register buffer — no per-round allocation),
-    // union the out-neighbours' previous-round counters. Returns the
-    // chunk's convergence flag.
-    let union_chunk =
-        |chunk: &mut [HyperLogLog], range: std::ops::Range<usize>, cur: &[HyperLogLog]| -> bool {
-            let mut changed = false;
-            for (slot, u) in chunk.iter_mut().zip(range) {
-                slot.registers.copy_from_slice(&cur[u].registers);
-                for &v in csr.out_neighbors(SocialId(u as u32)) {
-                    if slot.union_with(&cur[v.index()]) {
-                        changed = true;
-                    }
-                }
-            }
-            changed
-        };
-    let estimate_chunk = |chunk: &mut [f64], range: std::ops::Range<usize>, cur: &[HyperLogLog]| {
-        for (slot, u) in chunk.iter_mut().zip(range) {
-            *slot = cur[u].estimate();
-        }
-    };
-
-    // One hop for every owned node. Returns the convergence flag (any
-    // register changed anywhere). A single non-empty chunk (K = 1, or
-    // every other shard empty) runs inline — no hand-off worth paying for.
-    let run_round = |cur: &[HyperLogLog], next: &mut Vec<HyperLogLog>| -> bool {
-        let chunks = split_chunks(&mut next[..], &ranges);
-        if chunks.iter().filter(|c| !c.is_empty()).count() <= 1 {
-            return chunks
+    let all = vec![true; g.csr().num_social_nodes()];
+    run_anf(
+        &Social(g.csr()),
+        &all,
+        &all,
+        b,
+        max_iters,
+        seed,
+        |round, whole| {
+            let chunks: Vec<Chunk<'_>> = whole
+                .split(&ranges, round.m)
                 .into_iter()
-                .zip(&ranges)
-                .map(|(chunk, range)| union_chunk(chunk, range.clone(), cur))
-                .fold(false, |acc, changed| acc | changed);
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = chunks
-                .into_iter()
-                .zip(&ranges)
-                .filter(|(chunk, _)| !chunk.is_empty())
-                .map(|(chunk, range)| scope.spawn(|| union_chunk(chunk, range.clone(), cur)))
+                .filter(|c| !c.est.is_empty())
                 .collect();
-            handles.into_iter().fold(false, |acc, h| {
-                acc | match h.join() {
-                    Ok(v) => v,
-                    // Forward the worker's panic payload unchanged.
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            })
-        })
-    };
-
-    // N(t) = Σ_u |c_u(t)|: per-node estimates in parallel, one sequential
-    // node-order sum (so the float result matches the sequential code).
-    let estimate_total = |cur: &[HyperLogLog], est: &mut Vec<f64>| -> f64 {
-        let chunks = split_chunks(&mut est[..], &ranges);
-        if chunks.iter().filter(|c| !c.is_empty()).count() <= 1 {
-            for (chunk, range) in chunks.into_iter().zip(&ranges) {
-                estimate_chunk(chunk, range.clone(), cur);
-            }
-        } else {
-            std::thread::scope(|scope| {
-                for (chunk, range) in chunks
+            // A single non-empty chunk (K = 1, or every other shard
+            // empty) runs inline — no hand-off worth paying for.
+            if chunks.len() <= 1 {
+                return chunks
                     .into_iter()
-                    .zip(&ranges)
-                    .filter(|(chunk, _)| !chunk.is_empty())
-                {
-                    scope.spawn(|| estimate_chunk(chunk, range.clone(), cur));
-                }
-            });
-        }
-        est.iter().sum()
-    };
-
-    let mut series = vec![estimate_total(&counters, &mut estimates)];
-    for _ in 0..max_iters {
-        let any_changed = run_round(&counters, &mut next);
-        std::mem::swap(&mut counters, &mut next);
-        if !any_changed {
-            break;
-        }
-        series.push(estimate_total(&counters, &mut estimates));
-    }
-    series
+                    .fold(false, |acc, c| hop_chunk(round, c) | acc);
+            }
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = chunks
+                    .into_iter()
+                    .map(|c| scope.spawn(move || hop_chunk(round, c)))
+                    .collect();
+                handles.into_iter().fold(false, |acc, h| {
+                    acc | match h.join() {
+                        Ok(v) => v,
+                        // Forward the worker's panic payload unchanged.
+                        Err(payload) => std::panic::resume_unwind(payload),
+                    }
+                })
+            })
+        },
+    )
 }
 
 /// Shard-parallel effective social diameter: [`neighborhood_function_sharded`]
@@ -341,31 +530,19 @@ pub fn effective_diameter_from_nf(nf: &[f64], q: f64) -> f64 {
     (nf.len() - 1) as f64
 }
 
-/// Effective social diameter (90th percentile by default in the paper).
-///
-/// `b` controls HyperLogLog accuracy (the paper's tool uses comparable
-/// register budgets); `seed` fixes the hash salt.
-pub fn social_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64) -> f64 {
-    let adj: Vec<Vec<u32>> = san
-        .social_nodes()
-        .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
-        .collect();
-    let init = vec![true; adj.len()];
-    let nf = neighborhood_function(&adj, &init, &init, b, 256, seed);
-    effective_diameter_from_nf(&nf, q)
+/// The social neighbourhood function of a snapshot, read in place.
+fn social_nf(san: &impl SanRead, b: u8, max_iters: usize, seed: u64) -> Vec<f64> {
+    let all = vec![true; san.num_social_nodes()];
+    run_anf(&Social(san), &all, &all, b, max_iters, seed, hop_chunk)
 }
 
-/// Effective **attribute** diameter (§4.1): the 90th-percentile attribute
-/// distance `min dist between members + 1`, computed on the lifted graph
-/// and shifted back by one.
-pub fn attribute_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64) -> f64 {
+/// The lifted graph of [`attribute_effective_diameter`]: social nodes
+/// `0..n`, attribute node `a` at `n + a`, with `u → v` for social links
+/// and `u → a`, `a → u` for every attribute link; the mask marks the
+/// attribute nodes.
+fn lifted_graph(san: &impl SanRead) -> (Vec<Vec<u32>>, Vec<bool>) {
     let n = san.num_social_nodes();
-    let m = san.num_attr_nodes();
-    if m == 0 {
-        return 0.0;
-    }
-    // Lifted graph: social nodes 0..n, attribute nodes n..n+m.
-    let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n + m);
+    let mut adj: Vec<Vec<u32>> = Vec::with_capacity(n + san.num_attr_nodes());
     for u in san.social_nodes() {
         let mut outs: Vec<u32> = san.out_neighbors(u).iter().map(|v| v.0).collect();
         // u -> its attributes (so a path …→v→b terminates at b).
@@ -376,13 +553,27 @@ pub fn attribute_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64
         // a -> its members (so a path a→u→… starts at a).
         adj.push(san.members_of(a).iter().map(|u| u.0).collect());
     }
-    let mut init = vec![false; n + m];
-    let mut count = vec![false; n + m];
-    for i in n..n + m {
-        init[i] = true;
-        count[i] = true;
+    let mask = (0..adj.len()).map(|i| i >= n).collect();
+    (adj, mask)
+}
+
+/// Effective social diameter (90th percentile by default in the paper).
+///
+/// `b` controls HyperLogLog accuracy (the paper's tool uses comparable
+/// register budgets); `seed` fixes the hash salt.
+pub fn social_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64) -> f64 {
+    effective_diameter_from_nf(&social_nf(san, b, 256, seed), q)
+}
+
+/// Effective **attribute** diameter (§4.1): the 90th-percentile attribute
+/// distance `min dist between members + 1`, computed on the lifted graph
+/// and shifted back by one.
+pub fn attribute_effective_diameter(san: &impl SanRead, q: f64, b: u8, seed: u64) -> f64 {
+    if san.num_attr_nodes() == 0 {
+        return 0.0;
     }
-    let nf = neighborhood_function(&adj, &init, &count, b, 256, seed);
+    let (adj, mask) = lifted_graph(san);
+    let nf = neighborhood_function(&adj, &mask, &mask, b, 256, seed);
     // Lifted distances between distinct attribute nodes = attribute distance + 1.
     let lifted = effective_diameter_from_nf(&nf, q);
     (lifted - 1.0).max(0.0)
@@ -423,7 +614,196 @@ pub fn sampled_distance_histogram(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::test_graphs::{arb_san, google_plus_every_7th_day};
+    use proptest::prelude::*;
     use san_graph::{San, SocialId};
+
+    /// The textbook estimate, kept as the reference: `powi` per register.
+    fn powi_estimate(c: &HyperLogLog) -> f64 {
+        let m = c.registers.len() as f64;
+        let alpha = match c.registers.len() {
+            16 => 0.673,
+            32 => 0.697,
+            64 => 0.709,
+            _ => 0.7213 / (1.0 + 1.079 / m),
+        };
+        let sum: f64 = c.registers.iter().map(|&r| 2f64.powi(-i32::from(r))).sum();
+        let raw = alpha * m * m / sum;
+        if raw <= 2.5 * m {
+            let zeros = c.registers.iter().filter(|&&r| r == 0).count();
+            if zeros > 0 {
+                return m * (m / zeros as f64).ln();
+            }
+        }
+        raw
+    }
+
+    /// The textbook kernel, kept as the reference: one boxed counter per
+    /// node, cloned every round, every node unioned with every successor
+    /// in every round, every counted node re-estimated in every round.
+    fn nf_oracle(
+        adj: &[Vec<u32>],
+        init: &[bool],
+        count: &[bool],
+        b: u8,
+        max_iters: usize,
+        seed: u64,
+    ) -> Vec<f64> {
+        let n = adj.len();
+        if n == 0 {
+            return vec![0.0];
+        }
+        let mut counters: Vec<HyperLogLog> = (0..n)
+            .map(|u| {
+                let mut c = HyperLogLog::new(b);
+                if init[u] {
+                    c.insert_hash(hash_node(u as u64, seed));
+                }
+                c
+            })
+            .collect();
+        let estimate_total = |cs: &[HyperLogLog]| -> f64 {
+            cs.iter()
+                .zip(count)
+                .filter(|(_, &keep)| keep)
+                .map(|(c, _)| powi_estimate(c))
+                .sum()
+        };
+        let mut series = vec![estimate_total(&counters)];
+        for _ in 0..max_iters {
+            let mut next = counters.clone();
+            let mut any_changed = false;
+            for (u, outs) in adj.iter().enumerate() {
+                for &v in outs {
+                    if next[u].union_with(&counters[v as usize]) {
+                        any_changed = true;
+                    }
+                }
+            }
+            counters = next;
+            if !any_changed {
+                break;
+            }
+            series.push(estimate_total(&counters));
+        }
+        series
+    }
+
+    fn bits(series: &[f64]) -> Vec<u64> {
+        series.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn social_adj(san: &impl SanRead) -> Vec<Vec<u32>> {
+        san.social_nodes()
+            .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
+            .collect()
+    }
+
+    /// Every flat-kernel entry point against the oracle, bit for bit.
+    fn assert_kernels_match(san: &San, b: u8, max_iters: usize, seed: u64) {
+        let csr = san.freeze();
+        let adj = social_adj(san);
+        let all = vec![true; adj.len()];
+        let want = bits(&nf_oracle(&adj, &all, &all, b, max_iters, seed));
+        let ctx = format!("b={b} max_iters={max_iters} seed={seed}");
+        assert_eq!(
+            bits(&neighborhood_function(&adj, &all, &all, b, max_iters, seed)),
+            want,
+            "adjacency {ctx}"
+        );
+        assert_eq!(bits(&social_nf(san, b, max_iters, seed)), want, "San {ctx}");
+        assert_eq!(
+            bits(&social_nf(&csr, b, max_iters, seed)),
+            want,
+            "CsrSan {ctx}"
+        );
+        for k in [1usize, 3] {
+            let sharded = ShardedCsrSan::from_csr(csr.clone(), k);
+            assert_eq!(
+                bits(&neighborhood_function_sharded(&sharded, b, max_iters, seed)),
+                want,
+                "sharded k={k} {ctx}"
+            );
+        }
+        let (lifted, mask) = lifted_graph(san);
+        let want = bits(&nf_oracle(&lifted, &mask, &mask, b, max_iters, seed));
+        assert_eq!(
+            bits(&neighborhood_function(
+                &lifted, &mask, &mask, b, max_iters, seed
+            )),
+            want,
+            "lifted {ctx}"
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn flat_kernel_matches_oracle(san in arb_san(30, 6), seed in any::<u64>()) {
+            for b in [4u8, 6, 10] {
+                for max_iters in [1usize, 2, 256] {
+                    assert_kernels_match(&san, b, max_iters, seed);
+                }
+            }
+        }
+
+        /// Plain adjacency lists may repeat successors and hold self-loops;
+        /// the masks are arbitrary.
+        #[test]
+        fn raw_adjacency_matches_oracle(
+            n in 0usize..25,
+            edges in prop::collection::vec((any::<u32>(), any::<u32>()), 0..80),
+            masks in any::<u64>(),
+            seed in any::<u64>(),
+        ) {
+            let mut adj = vec![Vec::new(); n];
+            if n > 0 {
+                for (u, v) in edges {
+                    adj[u as usize % n].push(v % n as u32);
+                }
+            }
+            let init: Vec<bool> = (0..n).map(|i| masks >> i & 1 == 1).collect();
+            let count: Vec<bool> = (0..n).map(|i| masks >> (i + 32) & 1 == 1).collect();
+            for b in [4u8, 6, 10] {
+                for max_iters in [1usize, 2, 256] {
+                    prop_assert_eq!(
+                        bits(&neighborhood_function(&adj, &init, &count, b, max_iters, seed)),
+                        bits(&nf_oracle(&adj, &init, &count, b, max_iters, seed))
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pow2_table_is_powi() {
+        for (r, &p) in POW2_NEG.iter().enumerate() {
+            assert_eq!(p.to_bits(), 2f64.powi(-(r as i32)).to_bits(), "r={r}");
+        }
+    }
+
+    /// The panel's diameter configuration (b = 4) on every 7th day of a
+    /// small Google+ timeline, social and lifted graphs.
+    #[test]
+    fn google_plus_timeline_matches_oracle() {
+        google_plus_every_7th_day(|day, csr| {
+            let adj = social_adj(csr);
+            let all = vec![true; adj.len()];
+            let seed = u64::from(day);
+            assert_eq!(
+                bits(&social_nf(csr, 4, 256, seed)),
+                bits(&nf_oracle(&adj, &all, &all, 4, 256, seed)),
+                "social day {day}"
+            );
+            let (lifted, mask) = lifted_graph(csr);
+            assert_eq!(
+                bits(&neighborhood_function(&lifted, &mask, &mask, 4, 256, seed)),
+                bits(&nf_oracle(&lifted, &mask, &mask, 4, 256, seed)),
+                "lifted day {day}"
+            );
+        });
+    }
 
     fn path_graph(n: usize) -> San {
         let mut san = San::new();
@@ -488,10 +868,7 @@ mod tests {
         // Directed path of 4: pairs within t:
         // N(0)=4, N(1)=4+3, N(2)=4+3+2, N(3)=4+3+2+1.
         let san = path_graph(4);
-        let adj: Vec<Vec<u32>> = san
-            .social_nodes()
-            .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
-            .collect();
+        let adj = social_adj(&san);
         let init = vec![true; 4];
         let nf = neighborhood_function(&adj, &init, &init, 10, 64, 42);
         assert_eq!(nf.len(), 4);
@@ -603,14 +980,7 @@ mod tests {
         }
         let csr = san.freeze();
         let seq_d = social_effective_diameter(&csr, 0.9, 8, 42);
-        let adj: Vec<Vec<u32>> = (0..60u32)
-            .map(|u| {
-                san_graph::SanRead::out_neighbors(&csr, SocialId(u))
-                    .iter()
-                    .map(|v| v.0)
-                    .collect()
-            })
-            .collect();
+        let adj = social_adj(&csr);
         let init = vec![true; 60];
         let seq_nf = neighborhood_function(&adj, &init, &init, 8, 256, 42);
         for k in [1usize, 2, 3, 7] {
@@ -655,10 +1025,7 @@ mod tests {
                 }
             }
         }
-        let adj: Vec<Vec<u32>> = san
-            .social_nodes()
-            .map(|u| san.out_neighbors(u).iter().map(|v| v.0).collect())
-            .collect();
+        let adj = social_adj(&san);
         let init = vec![true; 6];
         let nf = neighborhood_function(&adj, &init, &init, 10, 64, 3);
         let last = *nf.last().unwrap();

@@ -49,6 +49,8 @@ pub mod hyperanf;
 pub mod influence;
 pub mod jdd;
 pub mod reciprocity;
+#[cfg(test)]
+mod test_graphs;
 pub mod validate;
 
 pub use clustering::{
