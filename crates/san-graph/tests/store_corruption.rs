@@ -766,6 +766,145 @@ fn standalone_delta_file_is_delta_without_base() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// A three-day timeline for the delta-apply matrix: day 0 is
+/// [`sample_csr`], day 1 is [`sample_csr_plus`], and day 2 adds one
+/// social link and one attribute link between nodes that already exist on
+/// day 0 (rows and values below 4 on the social side), so day 2's delta
+/// stays decodable when its header claims fewer social rows than day 1.
+fn three_day_timeline() -> san_graph::SanTimeline {
+    let mut tb = TimelineBuilder::new();
+    let u0 = tb.add_social_node();
+    let u1 = tb.add_social_node();
+    let u2 = tb.add_social_node();
+    let u3 = tb.add_social_node();
+    let a0 = tb.add_attr_node(AttrType::School);
+    let a1 = tb.add_attr_node(AttrType::Employer);
+    tb.add_social_link(u0, u1);
+    tb.add_social_link(u1, u0);
+    tb.add_social_link(u2, u0);
+    tb.add_social_link(u3, u2);
+    tb.add_attr_link(u0, a0);
+    tb.add_attr_link(u1, a0);
+    tb.add_attr_link(u2, a1);
+    tb.advance_to_day(1);
+    let u4 = tb.add_social_node();
+    tb.add_social_link(u0, u2);
+    tb.add_social_link(u4, u1);
+    tb.add_attr_link(u3, a1);
+    tb.advance_to_day(2);
+    tb.add_social_link(u1, u2);
+    tb.add_attr_link(u0, a1);
+    tb.finish().0
+}
+
+/// Base-dependent delta corruption: a full → delta → delta vault whose
+/// last day file is replaced by crafted, re-sealed bytes that decode
+/// cleanly but cannot patch their base — the social rows shrink, the attr
+/// rows disagree with the added tags, a link counter does not add up, or
+/// an add repeats an edge the base already holds (day 1's own delta
+/// re-pointed at day 1). The eager chain load and the mapped chain load
+/// must report the same typed error.
+#[test]
+fn delta_apply_errors_are_typed_on_every_chain_path() {
+    use san_graph::SanRead;
+    use std::sync::atomic::{AtomicU32, Ordering};
+    static SEQ: AtomicU32 = AtomicU32::new(0);
+    let tl = three_day_timeline();
+    let snaps: Vec<CsrSan> = (0..=2).map(|d| tl.snapshot_csr(d)).collect();
+    assert_eq!(snaps[0], sample_csr());
+    assert_eq!(snaps[1], sample_csr_plus());
+    let dir = std::env::temp_dir().join(format!(
+        "san-corrupt-apply-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let mut vault = SnapshotVault::create(&dir).expect("create vault");
+    vault.save_day_v2(0, &snaps[0]).expect("save full day 0");
+    vault
+        .save_day_delta(1, 0, &snaps[0], &snaps[1])
+        .expect("save delta day 1");
+    vault
+        .save_day_delta(2, 1, &snaps[1], &snaps[2])
+        .expect("save delta day 2");
+    assert_eq!(*vault.load_day(2).expect("clean chain"), snaps[2]);
+    let day1 = std::fs::read(vault.day_path(1)).expect("read day 1");
+    let day2 = std::fs::read(vault.day_path(2)).expect("read day 2");
+
+    // Delta header fields (see the store module docs).
+    const BASE_DAY: usize = 16;
+    const SOCIAL_ROWS: usize = 20;
+    const ATTR_ROWS: usize = 28;
+    const SOCIAL_LINKS: usize = 36;
+    const ATTR_LINKS: usize = 44;
+    let get = |bytes: &[u8], at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+    let set =
+        |bytes: &mut [u8], at: usize, v: u64| bytes[at..at + 8].copy_from_slice(&v.to_le_bytes());
+    let patched = |src: &[u8], edits: &[(usize, u64)]| {
+        let mut bad = src.to_vec();
+        for &(at, v) in edits {
+            set(&mut bad, at, v);
+        }
+        reseal(&mut bad);
+        bad
+    };
+    let base_rows = snaps[1].num_social_nodes() as u64;
+    let (links, attr_links) = (get(&day1, SOCIAL_LINKS), get(&day1, ATTR_LINKS));
+    let added = links - snaps[0].num_social_links() as u64;
+    let attr_added = attr_links - snaps[0].num_attr_links() as u64;
+    let mut repointed = patched(
+        &day1,
+        &[
+            (SOCIAL_LINKS, links + added),
+            (ATTR_LINKS, attr_links + attr_added),
+        ],
+    );
+    repointed[BASE_DAY..BASE_DAY + 4].copy_from_slice(&1u32.to_le_bytes());
+    reseal(&mut repointed);
+
+    let cases: Vec<(&str, Vec<u8>, &str)> = vec![
+        (
+            "social rows shrink",
+            patched(&day2, &[(SOCIAL_ROWS, base_rows - 1)]),
+            "delta social rows",
+        ),
+        (
+            "attr rows disagree with added tags",
+            patched(&day2, &[(ATTR_ROWS, get(&day2, ATTR_ROWS) + 1)]),
+            "delta attr rows",
+        ),
+        (
+            "social link counter",
+            patched(&day2, &[(SOCIAL_LINKS, get(&day2, SOCIAL_LINKS) + 1)]),
+            "num_social_links",
+        ),
+        (
+            "attr link counter",
+            patched(&day2, &[(ATTR_LINKS, get(&day2, ATTR_LINKS) - 1)]),
+            "num_attr_links",
+        ),
+        ("add repeats a base edge", repointed, "out_add"),
+    ];
+    for (ctx, bytes, what) in cases {
+        std::fs::write(vault.day_path(2), &bytes).expect("rewrite day 2");
+        let loaded = vault.load_day(2).expect_err(ctx);
+        let expected = |err: &StoreError| match err {
+            StoreError::CountMismatch { what: w, .. } => *w == what,
+            StoreError::BadCodec { array, reason } => {
+                *array == what && *reason == "add duplicates an edge of the base day"
+            }
+            _ => false,
+        };
+        assert!(expected(&loaded), "{ctx}: load_day got {loaded}");
+        #[cfg(all(unix, not(miri)))]
+        {
+            let mapped = vault.map_day(2).expect_err(ctx);
+            assert!(expected(&mapped), "{ctx}: map_day got {mapped}");
+            assert_eq!(mapped.to_string(), loaded.to_string(), "{ctx}");
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 /// The one positive control: a loaded snapshot answers queries exactly
 /// like the original (beyond `PartialEq`, the read path works).
 #[test]
