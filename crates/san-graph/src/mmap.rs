@@ -42,14 +42,17 @@
 //! * **Validation** — the full [`CsrSanView::new`] validation (the
 //!   [`CsrSan::read_from`](crate::CsrSan::read_from) corruption matrix)
 //!   runs against the mapped bytes before `open` returns, so a served
-//!   view never reinterprets unvalidated bytes.
+//!   view never reinterprets unvalidated bytes. Owned images (v2 full
+//!   days, reconstructed delta days) run the same matrix minus the
+//!   checksum: their source files were verified against their own
+//!   trailers, and the image itself is this process's output.
 
 #![cfg(unix)]
 
 use crate::csr::CsrSan;
 use crate::store::{
-    array_at, decode_v2_image, StoreError, StoreHeader, FORMAT_VERSION_V2, HEADER_BYTES, MAGIC,
-    VERSION_PREFIX_BYTES,
+    array_at, decode_v2_owned_image, StoreError, StoreHeader, FORMAT_VERSION_V2, HEADER_BYTES,
+    MAGIC, VERSION_PREFIX_BYTES,
 };
 use crate::view::{AlignedBytes, CsrSanView};
 use std::ffi::{c_int, c_long, c_void};
@@ -149,9 +152,13 @@ impl MappedSnapshot {
     /// failure (including all crafted-bytes corruption) is a typed
     /// [`StoreError`]; no code path panics on untrusted file content.
     ///
-    /// A v2 *full* file is decoded once into an owned v1-layout buffer
-    /// (same validation stack, same views); a standalone v2 *delta* file
-    /// is rejected as [`StoreError::DeltaWithoutBase`].
+    /// A v2 *full* file is verified against its own trailer (the one hash
+    /// over the file's bytes), then decoded once into an owned v1-layout
+    /// image with a zero trailer slot (see [`bytes`](MappedSnapshot::bytes))
+    /// and put through the same matrix minus the checksum — the image is
+    /// this process's own output, so hashing it again would prove nothing.
+    /// A standalone v2 *delta* file is rejected as
+    /// [`StoreError::DeltaWithoutBase`].
     pub fn open(path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
         let path = path.as_ref().to_path_buf();
         let mut file = fs::File::open(&path)?;
@@ -167,15 +174,7 @@ impl MappedSnapshot {
         if prefix[0..8] == MAGIC && u32::from_le_bytes(array_at(&prefix, 8)) == FORMAT_VERSION_V2 {
             drop(file);
             let raw = fs::read(&path)?;
-            let image = decode_v2_image(&raw)?;
-            // The image is structurally sealed but not yet semantically
-            // validated — run the exact v1 matrix over it.
-            let (_, header) = CsrSanView::new_with_header(&image)?;
-            return Ok(MappedSnapshot {
-                backing: Backing::Owned(image),
-                header,
-                path,
-            });
+            return MappedSnapshot::owned(decode_v2_owned_image(&raw)?, path);
         }
         if len < HEADER_BYTES as u64 {
             // Too short to even hold a header — and a zero-length mmap is
@@ -234,25 +233,39 @@ impl MappedSnapshot {
     }
 
     /// Wraps an in-memory snapshot in the `MappedSnapshot` handle without
-    /// touching the filesystem: the snapshot is serialised into a sealed
-    /// v1-layout buffer, validated through the exact
-    /// [`CsrSanView::new`] matrix, and served from owned memory. This is
-    /// how [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day)
+    /// touching the filesystem: the snapshot is written in one pass into
+    /// an owned v1-layout image with a zero trailer slot (nothing is
+    /// hashed — every byte read from disk to build `snap` was already
+    /// verified against its file's trailer), validated through the
+    /// [`CsrSanView::new`] matrix minus the checksum, and served from
+    /// owned memory. This is how
+    /// [`SnapshotVault::map_day`](crate::store::SnapshotVault::map_day)
     /// serves a reconstructed delta-chain day behind the same `Send +
     /// Sync` handle the serving layer caches for plain v1 mappings;
     /// `path` records which day file the snapshot stands in for.
     pub fn from_owned(snap: &CsrSan, path: impl AsRef<Path>) -> Result<MappedSnapshot, StoreError> {
-        let image = AlignedBytes::from_bytes(&snap.to_store_bytes());
-        let (_, header) = CsrSanView::new_with_header(&image)?;
+        MappedSnapshot::owned(snap.to_owned_image(), path.as_ref().to_path_buf())
+    }
+
+    /// Serves an image this process decoded or built in memory: every
+    /// [`CsrSanView::new`] check except the checksum, whose trailer slot
+    /// such an image leaves zero.
+    fn owned(image: AlignedBytes, path: PathBuf) -> Result<MappedSnapshot, StoreError> {
+        let (_, header) = CsrSanView::new_owned_image(&image)?;
         Ok(MappedSnapshot {
             backing: Backing::Owned(image),
             header,
-            path: path.as_ref().to_path_buf(),
+            path,
         })
     }
 
     /// The raw snapshot bytes in v1 layout (header + columns + trailer) —
-    /// the mapped file for v1 days, the owned decoded image for v2 days.
+    /// the mapped file for v1 days, the owned image for v2 full days and
+    /// reconstructed delta days. A mapped v1 file carries its checksum,
+    /// verified at [`open`](MappedSnapshot::open); an owned image keeps
+    /// the 8-byte trailer slot (so lengths match the v1 serialisation)
+    /// but leaves it **zero**, because its bytes were produced by this
+    /// process from inputs already verified against their own trailers.
     #[inline]
     pub fn bytes(&self) -> &[u8] {
         self.backing.bytes()
@@ -363,6 +376,22 @@ mod tests {
             .collect();
         for h in handles {
             assert_eq!(h.join().expect("no panic"), csr.num_social_links);
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn owned_images_match_v1_with_a_zero_trailer() {
+        let csr = sample_csr();
+        let v1 = csr.to_store_bytes();
+        let body = v1.len() - CHECKSUM_BYTES;
+        let path = temp_file("owned-v2", &csr.to_store_bytes_v2());
+        let decoded = MappedSnapshot::open(&path).expect("open v2");
+        let built = MappedSnapshot::from_owned(&csr, &path).expect("from_owned");
+        for owned in [&decoded, &built] {
+            assert_eq!(owned.bytes()[..body], v1[..body]);
+            assert_eq!(owned.bytes()[body..], [0u8; CHECKSUM_BYTES]);
+            assert_eq!(owned.view().to_owned_csr(), csr);
         }
         let _ = fs::remove_file(&path);
     }

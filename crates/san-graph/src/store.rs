@@ -77,6 +77,16 @@
 //! deliberately re-sealed file still cannot smuggle in a non-monotone
 //! table or a dangling id.
 //!
+//! Every byte read from disk is hashed exactly once and compared with its
+//! file's trailer: a v1 file (streamed, viewed or mapped), a v2 full file
+//! and each delta file of a chain. Bytes the process produces itself are
+//! never hashed. The owned v1-layout images that
+//! [`MappedSnapshot`](crate::mmap::MappedSnapshot) serves for v2 full
+//! days and reconstructed delta days are built in one pass with their
+//! trailer slot left zero, and run every validator above except the
+//! checksum. [`decode_v2_image`] still seals its image, for callers that
+//! hand it to [`CsrSanView::new`](crate::view::CsrSanView::new).
+//!
 //! # Vaults
 //!
 //! [`SnapshotVault`] turns the single-file format into a persisted
@@ -618,14 +628,26 @@ fn write_col<W: Write, T: Copy>(
     let mut stage = [0u8; STAGE_BYTES];
     for chunk in data.chunks(STAGE_BYTES / 4) {
         let bytes = &mut stage[..chunk.len() * 4];
-        for (i, &v) in chunk.iter().enumerate() {
-            // BOUNDS: bytes spans chunk.len()*4 and i < chunk.len(), so
-            // i*4 + 4 <= len — trusted in-memory data, not reader input.
-            bytes[i * 4..i * 4 + 4].copy_from_slice(&as_u32(v).to_le_bytes());
-        }
+        put_u32s(bytes, chunk, &as_u32);
         w.put(bytes)?;
     }
     Ok(())
+}
+
+/// Writes 4-byte elements as little-endian into `dst`, which holds
+/// exactly `data.len() * 4` bytes.
+fn put_u32s<T: Copy>(dst: &mut [u8], data: &[T], as_u32: impl Fn(T) -> u32) {
+    for (out, &v) in dst.chunks_exact_mut(4).zip(data) {
+        out.copy_from_slice(&as_u32(v).to_le_bytes());
+    }
+}
+
+/// Writes one attribute-type tag byte per element into `dst`, which
+/// holds exactly `types.len()` bytes.
+fn put_tags(dst: &mut [u8], types: &[AttrType]) {
+    for (out, &ty) in dst.iter_mut().zip(types) {
+        *out = attr_type_tag(ty);
+    }
 }
 
 /// Reads a column of `count` little-endian 4-byte elements into an
@@ -908,6 +930,63 @@ pub(crate) fn check_id_range<T: Copy>(
     Ok(())
 }
 
+/// The v1 layout of a snapshot with the given array counts and link
+/// counters: its header bytes, each column's absolute byte offset, and
+/// the total length with the trailer. The one place the v1 header and
+/// column tiling are computed — [`CsrSan::write_to`], the v2 image
+/// decoder and the owned-image writer all build on it.
+struct V1Layout {
+    header: [u8; HEADER_BYTES],
+    counts: [u64; NUM_ARRAYS],
+    offsets: [u64; NUM_ARRAYS],
+    payload_end: usize,
+}
+
+impl V1Layout {
+    fn new(counts: [u64; NUM_ARRAYS], num_social_links: u64, num_attr_links: u64) -> V1Layout {
+        let mut header = [0u8; HEADER_BYTES];
+        header[0..8].copy_from_slice(&MAGIC);
+        header[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
+        header[12..20].copy_from_slice(&num_social_links.to_le_bytes());
+        header[20..28].copy_from_slice(&num_attr_links.to_le_bytes());
+        let mut offsets = [0u64; NUM_ARRAYS];
+        let mut offset = HEADER_BYTES as u64;
+        for i in 0..NUM_ARRAYS {
+            offsets[i] = offset;
+            let at = 28 + i * 16;
+            header[at..at + 8].copy_from_slice(&offset.to_le_bytes());
+            header[at + 8..at + 16].copy_from_slice(&counts[i].to_le_bytes());
+            offset += counts[i] * elem_bytes(i);
+        }
+        V1Layout {
+            header,
+            counts,
+            offsets,
+            payload_end: offset as usize,
+        }
+    }
+
+    /// Header, payload and trailer: the full image length.
+    fn total_bytes(&self) -> usize {
+        self.payload_end + CHECKSUM_BYTES
+    }
+
+    /// Column `i`'s bytes within an image of this layout. In range by
+    /// construction: the image was allocated at [`V1Layout::total_bytes`].
+    fn col_mut<'a>(&self, img: &'a mut [u8], i: usize) -> &'a mut [u8] {
+        let start = self.offsets[i] as usize;
+        &mut img[start..start + (self.counts[i] * elem_bytes(i)) as usize]
+    }
+
+    /// A zeroed image of this layout with the header written in: the
+    /// columns and the trailer slot are the caller's to fill.
+    fn image(&self) -> AlignedBytes {
+        let mut image = AlignedBytes::zeroed(self.total_bytes());
+        image.as_mut_bytes()[..HEADER_BYTES].copy_from_slice(&self.header);
+        image
+    }
+}
+
 impl CsrSan {
     /// Element counts of the 11 payload arrays, in file order.
     fn array_counts(&self) -> [u64; NUM_ARRAYS] {
@@ -926,6 +1005,14 @@ impl CsrSan {
         ]
     }
 
+    fn v1_layout(&self) -> V1Layout {
+        V1Layout::new(
+            self.array_counts(),
+            self.num_social_links as u64,
+            self.num_attr_links as u64,
+        )
+    }
+
     /// Serialises the snapshot in the columnar binary format (see the
     /// module docs for the layout) and returns the total bytes written,
     /// checksum trailer included.
@@ -936,25 +1023,7 @@ impl CsrSan {
     /// the snapshot. Wrap the destination in a
     /// [`BufWriter`](std::io::BufWriter) when writing to a file.
     pub fn write_to(&self, w: &mut impl Write) -> Result<u64, StoreError> {
-        let counts = self.array_counts();
-        // Element width per array: ten u32 columns, one u8 tag column.
-        let sizes: [u64; NUM_ARRAYS] = {
-            let mut s = [4u64; NUM_ARRAYS];
-            s[NUM_ARRAYS - 1] = 1;
-            s
-        };
-        let mut header = Vec::with_capacity(HEADER_BYTES);
-        header.extend_from_slice(&MAGIC);
-        header.extend_from_slice(&FORMAT_VERSION.to_le_bytes());
-        header.extend_from_slice(&(self.num_social_links as u64).to_le_bytes());
-        header.extend_from_slice(&(self.num_attr_links as u64).to_le_bytes());
-        let mut offset = HEADER_BYTES as u64;
-        for i in 0..NUM_ARRAYS {
-            header.extend_from_slice(&offset.to_le_bytes());
-            header.extend_from_slice(&counts[i].to_le_bytes());
-            offset += counts[i] * sizes[i];
-        }
-        debug_assert_eq!(header.len(), HEADER_BYTES);
+        let header = self.v1_layout().header;
         let mut hw = HashingWriter {
             inner: w,
             hash: Fnv1a::new(),
@@ -974,11 +1043,7 @@ impl CsrSan {
         let mut tags = [0u8; STAGE_BYTES];
         for chunk in self.attr_types.chunks(STAGE_BYTES) {
             let bytes = &mut tags[..chunk.len()];
-            for (i, &ty) in chunk.iter().enumerate() {
-                // BOUNDS: bytes spans chunk.len() and i < chunk.len();
-                // trusted in-memory tags, not reader input.
-                bytes[i] = attr_type_tag(ty);
-            }
+            put_tags(bytes, chunk);
             hw.put(bytes)?;
         }
         let checksum = hw.hash.finish();
@@ -1119,6 +1184,29 @@ impl CsrSan {
         buf
     }
 
+    /// Writes the snapshot's v1 image straight into an aligned buffer, in
+    /// one pass: header and columns bit-identical to [`CsrSan::write_to`],
+    /// the trailer slot left zero. No checksum is computed — the image is
+    /// served by [`MappedSnapshot::from_owned`](crate::mmap::MappedSnapshot::from_owned),
+    /// which never re-verifies bytes this process has just produced.
+    pub(crate) fn to_owned_image(&self) -> AlignedBytes {
+        let layout = self.v1_layout();
+        let mut image = layout.image();
+        let img = image.as_mut_bytes();
+        put_u32s(layout.col_mut(img, 0), &self.out_off, |v| v);
+        put_u32s(layout.col_mut(img, 1), &self.out_dst, |v| v.0);
+        put_u32s(layout.col_mut(img, 2), &self.in_off, |v| v);
+        put_u32s(layout.col_mut(img, 3), &self.in_src, |v| v.0);
+        put_u32s(layout.col_mut(img, 4), &self.ua_off, |v| v);
+        put_u32s(layout.col_mut(img, 5), &self.ua_attr, |v| v.0);
+        put_u32s(layout.col_mut(img, 6), &self.am_off, |v| v);
+        put_u32s(layout.col_mut(img, 7), &self.am_user, |v| v.0);
+        put_u32s(layout.col_mut(img, 8), &self.und_off, |v| v);
+        put_u32s(layout.col_mut(img, 9), &self.und_nbr, |v| v.0);
+        put_tags(layout.col_mut(img, NUM_ARRAYS - 1), &self.attr_types);
+        image
+    }
+
     /// Deserialises from a byte slice (convenience over
     /// [`CsrSan::read_from`]).
     pub fn from_store_bytes(mut bytes: &[u8]) -> Result<CsrSan, StoreError> {
@@ -1127,10 +1215,7 @@ impl CsrSan {
 
     /// Serialised size in bytes, without writing anything.
     pub fn store_bytes_len(&self) -> u64 {
-        let counts = self.array_counts();
-        let payload: u64 =
-            counts[..NUM_ARRAYS - 1].iter().map(|c| c * 4).sum::<u64>() + counts[NUM_ARRAYS - 1];
-        HEADER_BYTES as u64 + payload + CHECKSUM_BYTES as u64
+        self.v1_layout().total_bytes() as u64
     }
 
     /// Serialises the snapshot as a v2 *full* day: the same eleven columns
@@ -1447,6 +1532,20 @@ fn read_v2_full(bytes: &[u8]) -> Result<CsrSan, StoreError> {
 /// eager loader) over it, reusing the entire v1 validation stack. A delta
 /// buffer reports [`StoreError::DeltaWithoutBase`].
 pub fn decode_v2_image(bytes: &[u8]) -> Result<AlignedBytes, StoreError> {
+    let mut image = decode_v2_owned_image(bytes)?;
+    let img = image.as_mut_bytes();
+    let payload_end = img.len() - CHECKSUM_BYTES;
+    let seal = fnv1a64(&img[..payload_end]);
+    img[payload_end..].copy_from_slice(&seal.to_le_bytes());
+    Ok(image)
+}
+
+/// [`decode_v2_image`] without the seal: verifies the file's v2 trailer
+/// (the one hash over the untrusted bytes), decodes the columns into the
+/// v1-layout image in one pass, and leaves the image's trailer slot zero.
+/// [`MappedSnapshot::open`](crate::mmap::MappedSnapshot::open) serves v2
+/// full days this way.
+pub(crate) fn decode_v2_owned_image(bytes: &[u8]) -> Result<AlignedBytes, StoreError> {
     match v2_kind(bytes)? {
         V2_KIND_FULL => {}
         V2_KIND_DELTA => {
@@ -1463,46 +1562,21 @@ pub fn decode_v2_image(bytes: &[u8]) -> Result<AlignedBytes, StoreError> {
     }
     let hdr = V2FullHeader::parse(bytes)?;
     verify_v2_trailer(bytes, hdr.total_bytes)?;
-    // The v1 layout the image will carry. Counts are capped at u32::MAX
-    // and bounded by delivered bytes (count ≤ byte_len), so the image is
-    // at most ~4× the file and the arithmetic cannot overflow u64.
-    let mut v1_offsets = [0u64; NUM_ARRAYS];
-    let mut offset = HEADER_BYTES as u64;
-    for (i, slot) in v1_offsets.iter_mut().enumerate() {
-        *slot = offset;
-        offset += hdr.counts[i] * elem_bytes(i);
+    // Counts are capped at u32::MAX and bounded by delivered bytes
+    // (count ≤ byte_len), so the image is at most ~4× the file and the
+    // layout arithmetic cannot overflow u64.
+    let layout = V1Layout::new(hdr.counts, hdr.num_social_links, hdr.num_attr_links);
+    let mut image = layout.image();
+    let img = image.as_mut_bytes();
+    for (i, &name) in ARRAY_NAMES[..NUM_ARRAYS - 1].iter().enumerate() {
+        let dst = layout.col_mut(img, i);
+        codec::decode_u32s_with(hdr.col(bytes, i), hdr.counts[i] as usize, name, |j, v| {
+            dst[j * 4..j * 4 + 4].copy_from_slice(&v.to_le_bytes());
+        })?;
     }
-    let payload_end = offset as usize;
-    let total = payload_end + CHECKSUM_BYTES;
-    let mut image = AlignedBytes::zeroed(total);
-    {
-        let img = image.as_mut_bytes();
-        img[0..8].copy_from_slice(&MAGIC);
-        img[8..12].copy_from_slice(&FORMAT_VERSION.to_le_bytes());
-        img[12..20].copy_from_slice(&hdr.num_social_links.to_le_bytes());
-        img[20..28].copy_from_slice(&hdr.num_attr_links.to_le_bytes());
-        for (i, &off) in v1_offsets.iter().enumerate() {
-            let at = 28 + i * 16;
-            img[at..at + 8].copy_from_slice(&off.to_le_bytes());
-            img[at + 8..at + 16].copy_from_slice(&hdr.counts[i].to_le_bytes());
-        }
-        for i in 0..NUM_ARRAYS - 1 {
-            let start = v1_offsets[i] as usize;
-            let dst = &mut img[start..start + hdr.counts[i] as usize * 4];
-            codec::decode_u32s_with(
-                hdr.col(bytes, i),
-                hdr.counts[i] as usize,
-                ARRAY_NAMES[i],
-                |j, v| {
-                    dst[j * 4..j * 4 + 4].copy_from_slice(&v.to_le_bytes());
-                },
-            )?;
-        }
-        let tag_start = v1_offsets[NUM_ARRAYS - 1] as usize;
-        img[tag_start..payload_end].copy_from_slice(hdr.col(bytes, NUM_ARRAYS - 1));
-        let seal = fnv1a64(&img[..payload_end]);
-        img[payload_end..total].copy_from_slice(&seal.to_le_bytes());
-    }
+    layout
+        .col_mut(img, NUM_ARRAYS - 1)
+        .copy_from_slice(hdr.col(bytes, NUM_ARRAYS - 1));
     Ok(image)
 }
 
@@ -2404,7 +2478,12 @@ impl SnapshotVault {
                 self.metrics.record_read(entry.bytes, started.elapsed());
                 Ok(Arc::new(snap))
             }
-            DayFormat::V2Delta { .. } => self.load_delta_chain(day),
+            DayFormat::V2Delta { .. } => {
+                let started = Instant::now();
+                let (snap, bytes) = self.load_delta_chain(day)?;
+                self.metrics.record_read(bytes, started.elapsed());
+                Ok(Arc::new(snap))
+            }
         }
     }
 
@@ -2451,11 +2530,11 @@ impl SnapshotVault {
     }
 
     /// Reconstructs a delta day: eager-load its full ancestor, then apply
-    /// the chain's deltas oldest → newest. Metered as one read of the
-    /// chain's combined bytes, plus the chain counters
-    /// ([`VaultMetrics::record_chain`]).
-    fn load_delta_chain(&self, day: u32) -> Result<Arc<CsrSan>, StoreError> {
-        let started = Instant::now();
+    /// the chain's deltas oldest → newest. Returns the snapshot and the
+    /// chain's combined file bytes, which the caller meters as one read
+    /// over its whole call; the chain counters
+    /// ([`VaultMetrics::record_chain`]) are recorded here.
+    fn load_delta_chain(&self, day: u32) -> Result<(CsrSan, u64), StoreError> {
         let (full_day, chain) = self.chain_for(day)?;
         let mut total_bytes = self.days.get(&full_day).map_or(0, |e| e.bytes);
         let file = fs::File::open(self.day_path(full_day))?;
@@ -2482,9 +2561,8 @@ impl SnapshotVault {
             }
             cur = delta.apply_to(&cur)?;
         }
-        self.metrics.record_read(total_bytes, started.elapsed());
         self.metrics.record_chain(chain.len() as u64);
-        Ok(Arc::new(cur))
+        Ok((cur, total_bytes))
     }
 
     /// Maps a persisted day read-only into memory and validates it once
@@ -2494,28 +2572,34 @@ impl SnapshotVault {
     /// [`MappedSnapshot`](crate::mmap::MappedSnapshot) hands out
     /// [`CsrSanView`](crate::view::CsrSanView)s that read the file's pages
     /// in place and is `Send + Sync`, so one mapping can serve many
-    /// threads. Metered as a read of the file's full validated length
-    /// (the validation pass touches every byte).
+    /// threads. A v2 full day is decoded into an owned image and a delta
+    /// day is reconstructed from its chain; either way every file read is
+    /// verified against its own trailer exactly once. Metered as one read
+    /// of the files' bytes, timed over the whole call.
     #[cfg(unix)]
     pub fn map_day(&self, day: u32) -> Result<crate::mmap::MappedSnapshot, StoreError> {
         let Some(&entry) = self.days.get(&day) else {
             return Err(StoreError::DayNotPersisted { day });
         };
-        match entry.format {
-            DayFormat::V1Full | DayFormat::V2Full => {
-                let started = Instant::now();
-                let mapped = crate::mmap::MappedSnapshot::open(self.day_path(day))?;
-                self.metrics.record_read(entry.bytes, started.elapsed());
-                Ok(mapped)
-            }
+        let started = Instant::now();
+        let (mapped, bytes) = match entry.format {
+            DayFormat::V1Full | DayFormat::V2Full => (
+                crate::mmap::MappedSnapshot::open(self.day_path(day))?,
+                entry.bytes,
+            ),
             DayFormat::V2Delta { .. } => {
                 // A delta day has no standalone on-disk image to map; the
-                // chain is reconstructed (metered inside) and served from
-                // an owned, v1-layout buffer behind the same handle type.
-                let snap = self.load_delta_chain(day)?;
-                crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))
+                // chain is reconstructed and served from an owned,
+                // v1-layout image behind the same handle type.
+                let (snap, bytes) = self.load_delta_chain(day)?;
+                (
+                    crate::mmap::MappedSnapshot::from_owned(&snap, self.day_path(day))?,
+                    bytes,
+                )
             }
-        }
+        };
+        self.metrics.record_read(bytes, started.elapsed());
+        Ok(mapped)
     }
 
     /// The latest persisted day that is `≤ day` — the warm-start point for
@@ -2960,6 +3044,15 @@ mod tests {
             let mapped = vault.map_day(3).unwrap();
             assert_eq!(mapped.view().to_owned_csr(), snaps[3]);
             assert_eq!(mapped.mapped_bytes() as u64, snaps[3].store_bytes_len());
+            // Every owned image, full or delta, is the v1 serialisation
+            // bit for bit up to its trailer slot.
+            for day in 0..=3u32 {
+                let image = vault.map_day(day).unwrap();
+                let v1 = vault.load_day(day).unwrap().to_store_bytes();
+                assert_eq!(image.bytes().len(), v1.len(), "day {day}");
+                let body = v1.len() - CHECKSUM_BYTES;
+                assert_eq!(image.bytes()[..body], v1[..body], "day {day}");
+            }
         }
         // The deltas must be cheaper on disk than re-persisting fulls.
         let full_bytes: u64 = snaps[1..=3].iter().map(|s| s.store_bytes_len()).sum();

@@ -134,6 +134,36 @@ impl<'a> CsrSanView<'a> {
     pub(crate) fn new_with_header(
         bytes: &'a [u8],
     ) -> Result<(CsrSanView<'a>, StoreHeader), StoreError> {
+        let header = Self::parse_layout(bytes)?;
+        let payload_end = header.payload_end() as usize;
+        // BOUNDS: parse_layout checked
+        // bytes.len() >= payload_end + CHECKSUM_BYTES, covering both the
+        // payload slice and the trailer slice on untrusted input.
+        let expected = fnv1a64(&bytes[..payload_end]);
+        let found = u64::from_le_bytes(array_at(bytes, payload_end));
+        if expected != found {
+            return Err(StoreError::BadChecksum { expected, found });
+        }
+        Self::validate(bytes, header)
+    }
+
+    /// Every check of [`new_with_header`](CsrSanView::new_with_header)
+    /// except the checksum, for a v1-layout image this process decoded or
+    /// built in memory — never for bytes as they were read from a file.
+    /// Such an image has no seal worth checking (hashing bytes just
+    /// produced and comparing the hash with itself proves nothing), so
+    /// its trailer slot is left zero; the header, bounds, alignment and
+    /// semantic validators still run in full.
+    pub(crate) fn new_owned_image(
+        bytes: &'a [u8],
+    ) -> Result<(CsrSanView<'a>, StoreHeader), StoreError> {
+        let header = Self::parse_layout(bytes)?;
+        Self::validate(bytes, header)
+    }
+
+    /// Header parse plus per-column and trailer bounds: the checks that
+    /// precede the checksum.
+    fn parse_layout(bytes: &[u8]) -> Result<StoreHeader, StoreError> {
         if bytes.len() < HEADER_BYTES {
             return Err(StoreError::Truncated { section: "header" });
         }
@@ -150,20 +180,20 @@ impl<'a> CsrSanView<'a> {
                 return Err(StoreError::Truncated { section });
             }
         }
-        let payload_end = header.payload_end() as usize;
-        if bytes.len() < payload_end + CHECKSUM_BYTES {
+        if (bytes.len() as u64) < header.payload_end() + CHECKSUM_BYTES as u64 {
             return Err(StoreError::Truncated {
                 section: "checksum",
             });
         }
-        // BOUNDS: the guard above checked
-        // bytes.len() >= payload_end + CHECKSUM_BYTES, covering both the
-        // payload slice and the trailer slice on untrusted input.
-        let expected = fnv1a64(&bytes[..payload_end]);
-        let found = u64::from_le_bytes(array_at(bytes, payload_end));
-        if expected != found {
-            return Err(StoreError::BadChecksum { expected, found });
-        }
+        Ok(header)
+    }
+
+    /// The checks that follow the checksum: base alignment, then the
+    /// semantic validators in the eager loader's order.
+    fn validate(
+        bytes: &'a [u8],
+        header: StoreHeader,
+    ) -> Result<(CsrSanView<'a>, StoreHeader), StoreError> {
         if !(bytes.as_ptr() as usize).is_multiple_of(COLUMN_ALIGN) {
             return Err(StoreError::Misaligned {
                 required: COLUMN_ALIGN,

@@ -123,8 +123,11 @@ impl<R> QueryOutcome<R> {
 
 /// Serves historical snapshots out of a [`SnapshotVault`] to any number
 /// of threads: nearest-at-or-before day resolution, an mmap-backed
-/// sharded LRU (cold miss ≈ `mmap` + one validation pass; hit ≈ one
-/// atomic increment), per-day **single-flight deduplication** of cold
+/// sharded LRU (cold miss ≈ `mmap` + one validation pass — a v1 day is
+/// mapped in place, a v2 full day or a delta chain is decoded into an
+/// owned image, and each file read is hashed once against its own
+/// trailer, never the image built from it; hit ≈ one atomic
+/// increment), per-day **single-flight deduplication** of cold
 /// misses (a thundering herd on a cold day pays for exactly one
 /// map+validate — the rest briefly block and share the leader's
 /// mapping), and full [`ServeMetrics`] metering.
