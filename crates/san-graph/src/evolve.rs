@@ -76,17 +76,6 @@ pub struct DayCounts {
     pub attr_links: usize,
 }
 
-/// Advances `idx` past every event of `day` (the log is day-ordered) and
-/// returns that day's slice — the one grouping scan both sweep drivers
-/// share.
-fn take_day_slice<'a>(events: &'a [SanEvent], day: u32, idx: &mut usize) -> &'a [SanEvent] {
-    let start = *idx;
-    while *idx < events.len() && events[*idx].day() == day {
-        *idx += 1;
-    }
-    &events[start..*idx]
-}
-
 impl DayCounts {
     /// Reads the aggregate counters of any SAN view as the end-of-`day`
     /// totals — the one place the field-by-field assembly lives.
@@ -160,10 +149,11 @@ impl SanTimeline {
 
     /// Streams `(day, Arc<CsrSan>)` for every `step`-th day (day 0, `step`,
     /// `2·step`, …, always including the final day) in one incremental
-    /// delta-freeze pass: each day's snapshot is produced by patching the
-    /// previous day's CSR arrays with that day's events
-    /// ([`DeltaFreezer`](crate::delta::DeltaFreezer)), so a full-timeline
-    /// sweep is near-linear in events instead of the quadratic
+    /// delta-freeze pass: each yielded snapshot is produced by patching the
+    /// previous yielded day's CSR arrays with every event since, in one
+    /// sort and one merge ([`DeltaFreezer`](crate::delta::DeltaFreezer)),
+    /// so a full-timeline sweep is near-linear in events and pays one
+    /// patch per sampled day instead of the quadratic
     /// replay-per-day of calling
     /// [`snapshot_csr`](SanTimeline::snapshot_csr) in a loop.
     ///
@@ -334,17 +324,11 @@ impl SanTimeline {
     /// # Panics
     /// Panics if `step == 0`.
     pub fn for_each_snapshot<F: FnMut(u32, &crate::CsrSan)>(&self, step: u32, mut visit: F) {
-        assert!(step >= 1, "step must be at least 1");
-        let Some(max_day) = self.max_day() else {
-            return;
-        };
-        let mut freezer = crate::delta::DeltaFreezer::new();
-        let mut idx = 0;
-        for day in 0..=max_day {
-            freezer.apply_day(take_day_slice(&self.events, day, &mut idx));
-            if day % step == 0 || day == max_day {
-                visit(day, freezer.current());
-            }
+        // Each handed-out day is dropped before the next patch, so the
+        // stream's freezer reclaims its buffers exactly as a private one
+        // would.
+        for (day, snap) in self.snapshot_stream(step) {
+            visit(day, &snap);
         }
     }
 
@@ -450,23 +434,30 @@ impl Iterator for SnapshotStream<'_> {
         if let Some(day) = self.pending.take() {
             return Some((day, self.freezer.snapshot()));
         }
-        loop {
-            let max_day = self.max_day?;
-            let day = self.day;
-            self.freezer
-                .apply_day(take_day_slice(self.events, day, &mut self.idx));
-            let sampled =
-                (day.is_multiple_of(self.step) || day == max_day) && day >= self.emit_from;
-            if day == max_day {
-                // Exhausted; also guards `day + 1` against u32 overflow.
-                self.max_day = None;
-            } else {
-                self.day = day + 1;
-            }
-            if sampled {
-                return Some((day, self.freezer.snapshot()));
-            }
+        let max_day = self.max_day?;
+        // The next yielded day: the first grid day (`day % step == 0`, or
+        // the final day) not before `emit_from`. Every event from the
+        // current day through it is one contiguous slice and one patch.
+        let from = u64::from(self.day.max(self.emit_from));
+        let step = u64::from(self.step);
+        let target = (from.div_ceil(step) * step).min(u64::from(max_day)) as u32;
+        debug_assert!(
+            target >= self.emit_from,
+            "emission starts past the final day"
+        );
+        let end = self.idx + self.events[self.idx..].partition_point(|e| e.day() <= target);
+        self.freezer.apply_days(
+            &self.events[self.idx..end],
+            u64::from(target - self.day) + 1,
+        );
+        self.idx = end;
+        if target == max_day {
+            // Exhausted; also guards `target + 1` against u32 overflow.
+            self.max_day = None;
+        } else {
+            self.day = target + 1;
         }
+        Some((target, self.freezer.snapshot()))
     }
 }
 
@@ -773,7 +764,7 @@ mod tests {
     #[test]
     fn held_snapshot_survives_stream_advance() {
         // The Arc hand-off must never mutate a handed-out day in place:
-        // a snapshot kept across later apply_day calls stays bit-identical
+        // a snapshot kept across later patches stays bit-identical
         // to the replay of its own day.
         let tl = sample_timeline();
         let mut stream = tl.snapshot_stream(1);
@@ -814,6 +805,27 @@ mod tests {
         while stream.next().is_some() {}
         assert_eq!(stream.days_applied(), 4); // every day advanced once
         assert_eq!(stream.snapshots_taken(), 3); // only days 0, 2, 3 cloned
+    }
+
+    #[test]
+    fn stream_patches_once_per_yielded_day() {
+        // A link every day, so every batch between yielded days is
+        // non-empty and must cost exactly one merge.
+        let mut tb = TimelineBuilder::new();
+        let mut prev = tb.add_social_node();
+        for day in 1..=30u32 {
+            tb.advance_to_day(day);
+            let u = tb.add_social_node();
+            tb.add_social_link(u, prev);
+            prev = u;
+        }
+        let (tl, _) = tb.finish();
+        let mut stream = tl.snapshot_stream(7);
+        let days: Vec<u32> = stream.by_ref().map(|(d, _)| d).collect();
+        assert_eq!(days, vec![0, 7, 14, 21, 28, 30]);
+        assert_eq!(stream.freezer.patches(), 6);
+        assert_eq!(stream.days_applied(), 31);
+        assert_eq!(stream.snapshots_taken(), 6);
     }
 
     #[test]

@@ -183,6 +183,7 @@
 //! validated before any payload allocation, exactly as in v1.
 
 use crate::csr::CsrSan;
+use crate::delta::Additions;
 use crate::ids::{AttrId, AttrType, SocialId};
 use crate::meter::VaultMetrics;
 use std::collections::BTreeMap;
@@ -1596,12 +1597,13 @@ fn peek_delta_base_day(bytes: &[u8]) -> Result<u32, StoreError> {
     Ok(u32::from_le_bytes(array_at(bytes, 16)))
 }
 
-/// Everything a SAN gains between two persisted days: the sorted
-/// `(row, value)` add-lists [`patch_csr_into`](crate::delta) consumes for
-/// each of the five CSRs, the attribute-type tags of new attribute nodes,
-/// and the target day's node/link counters. Monotone SAN growth (nodes and
-/// links are only ever added) is what makes this complete — a delta day is
-/// exactly the adds, never a removal or an in-place edit.
+/// Everything a SAN gains between two persisted days: the [`Additions`]
+/// the live delta-freeze patches with (the sorted `(row, value)`
+/// add-lists of the five CSRs and the attribute-type tags of new
+/// attribute nodes), and the target day's node/link counters. Monotone
+/// SAN growth (nodes and links are only ever added) is what makes this
+/// complete — a delta day is exactly the adds, never a removal or an
+/// in-place edit.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct DeltaDay {
     base_day: u32,
@@ -1611,27 +1613,29 @@ pub(crate) struct DeltaDay {
     new_attr_rows: u64,
     num_social_links: u64,
     num_attr_links: u64,
-    out_add: Vec<(u32, SocialId)>,
-    in_add: Vec<(u32, SocialId)>,
-    ua_add: Vec<(u32, AttrId)>,
-    am_add: Vec<(u32, SocialId)>,
-    und_add: Vec<(u32, SocialId)>,
-    attr_type_add: Vec<AttrType>,
+    adds: Additions,
 }
 
 /// Per-row sorted-merge diff of two CSRs of a monotonically growing SAN:
 /// every `(row, value)` present in `new` but not in `old`, in `(row,
-/// value)` order — exactly the add-list shape
-/// [`patch_csr_into`](crate::delta) consumes. Assumes `old ⊆ new` row by
-/// row (both sorted), which monotone growth guarantees.
+/// value)` order — exactly the add-list shape [`Additions`] holds.
+/// Fails, naming `array`, when `old ⊄ new`: `new` has fewer rows, or a
+/// row of `old` holds a value its `new` row lacks (both rows sorted, so
+/// the walk over `old` stalls).
 fn csr_diff<T: Copy + Ord>(
+    array: &str,
     old_off: &[u32],
     old_data: &[T],
     new_off: &[u32],
     new_data: &[T],
-) -> Vec<(u32, T)> {
+) -> Result<Vec<(u32, T)>, String> {
     let old_rows = old_off.len().saturating_sub(1);
     let new_rows = new_off.len().saturating_sub(1);
+    if new_rows < old_rows {
+        return Err(format!(
+            "{array} shrinks from {old_rows} to {new_rows} rows"
+        ));
+    }
     let mut adds = Vec::new();
     for i in 0..new_rows {
         let new_row = &new_data[new_off[i] as usize..new_off[i + 1] as usize];
@@ -1648,32 +1652,59 @@ fn csr_diff<T: Copy + Ord>(
                 adds.push((i as u32, v));
             }
         }
-        debug_assert_eq!(a, old_row.len(), "row {i}: old row not a subset of new");
+        if a != old_row.len() {
+            return Err(format!("{array} row {i} lost a value"));
+        }
     }
-    adds
+    Ok(adds)
 }
 
 /// Computes the delta from `base` (the snapshot persisted as `base_day`)
-/// to `snap`. Both are trusted in-memory snapshots of the same monotone
-/// timeline.
-fn delta_between(base_day: u32, base: &CsrSan, snap: &CsrSan) -> DeltaDay {
-    DeltaDay {
+/// to `snap`, the snapshot of `day`. Fails with
+/// [`StoreError::BadManifest`] when `snap` does not contain `base` — a
+/// row count shrinks, a base value is missing from its row, or the base
+/// attribute types are not a prefix of the day's — since such a delta
+/// could never reconstruct `snap`.
+fn delta_between(
+    day: u32,
+    base_day: u32,
+    base: &CsrSan,
+    snap: &CsrSan,
+) -> Result<DeltaDay, StoreError> {
+    let not_contained = |detail: String| StoreError::BadManifest {
+        line: 0,
+        reason: format!("day {day} does not contain its delta base day {base_day}: {detail}"),
+    };
+    let Some(attr_type_add) = snap.attr_types.strip_prefix(&base.attr_types[..]) else {
+        return Err(not_contained("attr_types is not an extension".to_string()));
+    };
+    macro_rules! diff {
+        ($off:ident, $data:ident) => {
+            csr_diff(
+                stringify!($data),
+                &base.$off,
+                &base.$data,
+                &snap.$off,
+                &snap.$data,
+            )
+            .map_err(not_contained)?
+        };
+    }
+    Ok(DeltaDay {
         base_day,
         new_social_rows: snap.num_social_rows() as u64,
         new_attr_rows: snap.attr_types.len() as u64,
         num_social_links: snap.num_social_links as u64,
         num_attr_links: snap.num_attr_links as u64,
-        out_add: csr_diff(&base.out_off, &base.out_dst, &snap.out_off, &snap.out_dst),
-        in_add: csr_diff(&base.in_off, &base.in_src, &snap.in_off, &snap.in_src),
-        ua_add: csr_diff(&base.ua_off, &base.ua_attr, &snap.ua_off, &snap.ua_attr),
-        am_add: csr_diff(&base.am_off, &base.am_user, &snap.am_off, &snap.am_user),
-        und_add: csr_diff(&base.und_off, &base.und_nbr, &snap.und_off, &snap.und_nbr),
-        attr_type_add: snap
-            .attr_types
-            .get(base.attr_types.len()..)
-            .unwrap_or(&[])
-            .to_vec(),
-    }
+        adds: Additions {
+            out_add: diff!(out_off, out_dst),
+            in_add: diff!(in_off, in_src),
+            ua_add: diff!(ua_off, ua_attr),
+            am_add: diff!(am_off, am_user),
+            und_add: diff!(und_off, und_nbr),
+            attr_type_add: attr_type_add.to_vec(),
+        },
+    })
 }
 
 impl DeltaDay {
@@ -1681,11 +1712,11 @@ impl DeltaDay {
     /// passes; list `i` mirrors CSR `i` of the file order.
     fn list_lens(&self) -> [u64; NUM_DELTA_LISTS] {
         [
-            self.out_add.len() as u64,
-            self.in_add.len() as u64,
-            self.ua_add.len() as u64,
-            self.am_add.len() as u64,
-            self.und_add.len() as u64,
+            self.adds.out_add.len() as u64,
+            self.adds.in_add.len() as u64,
+            self.adds.ua_add.len() as u64,
+            self.adds.am_add.len() as u64,
+            self.adds.und_add.len() as u64,
         ]
     }
 
@@ -1710,13 +1741,13 @@ impl DeltaDay {
                     );
                 }};
             }
-            put_list!(0, self.out_add, |p: (u32, SocialId)| p.1 .0);
-            put_list!(1, self.in_add, |p: (u32, SocialId)| p.1 .0);
-            put_list!(2, self.ua_add, |p: (u32, AttrId)| p.1 .0);
-            put_list!(3, self.am_add, |p: (u32, SocialId)| p.1 .0);
-            put_list!(4, self.und_add, |p: (u32, SocialId)| p.1 .0);
+            put_list!(0, self.adds.out_add, |p: (u32, SocialId)| p.1 .0);
+            put_list!(1, self.adds.in_add, |p: (u32, SocialId)| p.1 .0);
+            put_list!(2, self.adds.ua_add, |p: (u32, AttrId)| p.1 .0);
+            put_list!(3, self.adds.am_add, |p: (u32, SocialId)| p.1 .0);
+            put_list!(4, self.adds.und_add, |p: (u32, SocialId)| p.1 .0);
         }
-        for &ty in &self.attr_type_add {
+        for &ty in &self.adds.attr_type_add {
             payload.push(attr_type_tag(ty));
         }
         let lens = self.list_lens();
@@ -1735,7 +1766,7 @@ impl DeltaDay {
             header.extend_from_slice(&stream_lens[i].0.to_le_bytes());
             header.extend_from_slice(&stream_lens[i].1.to_le_bytes());
         }
-        header.extend_from_slice(&(self.attr_type_add.len() as u64).to_le_bytes());
+        header.extend_from_slice(&(self.adds.attr_type_add.len() as u64).to_le_bytes());
         debug_assert_eq!(header.len(), V2_DELTA_HEADER_BYTES);
         let mut hw = HashingWriter {
             inner: w,
@@ -2002,22 +2033,26 @@ impl DeltaDay {
             new_attr_rows,
             num_social_links,
             num_attr_links,
-            out_add,
-            in_add,
-            ua_add,
-            am_add,
-            und_add,
-            attr_type_add,
+            adds: Additions {
+                out_add,
+                in_add,
+                ua_add,
+                am_add,
+                und_add,
+                attr_type_add,
+            },
         })
     }
 
-    /// Patches `base` into the target day's snapshot. Every
-    /// base-dependent invariant is checked first — row growth, link
-    /// counters adding up, tag counts, `u32` data-length headroom, and no
-    /// add duplicating an edge the base already holds — so the trusted
-    /// merge in [`patch_csr_into`](crate::delta) can never see input that
-    /// trips its asserts, whatever the file claimed.
+    /// Patches `base` into the target day's snapshot. Row growth, link
+    /// counters adding up, tag counts and `u32` data-length headroom are
+    /// checked first, so the trusted merge in
+    /// [`Additions::patch_into`] can never see input that trips its
+    /// asserts, whatever the file claimed. An add duplicating an edge the
+    /// base already holds is caught by the merge itself, which counts it
+    /// as skipped.
     fn apply_to(&self, base: &CsrSan) -> Result<CsrSan, StoreError> {
+        let adds = &self.adds;
         let base_n = base.num_social_rows() as u64;
         let base_m = base.attr_types.len() as u64;
         let n = self.new_social_rows;
@@ -2029,37 +2064,37 @@ impl DeltaDay {
                 found: n,
             });
         }
-        if m != base_m + self.attr_type_add.len() as u64 {
+        if m != base_m + adds.attr_type_add.len() as u64 {
             return Err(StoreError::CountMismatch {
                 what: "delta attr rows",
-                expected: base_m + self.attr_type_add.len() as u64,
+                expected: base_m + adds.attr_type_add.len() as u64,
                 found: m,
             });
         }
-        if self.num_social_links != base.num_social_links as u64 + self.out_add.len() as u64 {
+        if self.num_social_links != base.num_social_links as u64 + adds.out_add.len() as u64 {
             return Err(StoreError::CountMismatch {
                 what: "num_social_links",
-                expected: base.num_social_links as u64 + self.out_add.len() as u64,
+                expected: base.num_social_links as u64 + adds.out_add.len() as u64,
                 found: self.num_social_links,
             });
         }
-        if self.num_attr_links != base.num_attr_links as u64 + self.ua_add.len() as u64 {
+        if self.num_attr_links != base.num_attr_links as u64 + adds.ua_add.len() as u64 {
             return Err(StoreError::CountMismatch {
                 what: "num_attr_links",
-                expected: base.num_attr_links as u64 + self.ua_add.len() as u64,
+                expected: base.num_attr_links as u64 + adds.ua_add.len() as u64,
                 found: self.num_attr_links,
             });
         }
-        // Patched data arrays must stay under the u32 offset ceiling, and
-        // no add may duplicate an edge the base already holds — both
-        // would otherwise trip the trusted merge's asserts.
-        fn check_adds<T: Copy + Ord>(
-            off: &[u32],
-            data: &[T],
-            adds: &[(u32, T)],
-            name: &'static str,
-        ) -> Result<(), StoreError> {
-            let grown = data.len() as u64 + adds.len() as u64;
+        // Patched data arrays must stay under the u32 offset ceiling,
+        // which the trusted merge asserts.
+        let grown = [
+            base.out_dst.len() as u64 + adds.out_add.len() as u64,
+            base.in_src.len() as u64 + adds.in_add.len() as u64,
+            base.ua_attr.len() as u64 + adds.ua_add.len() as u64,
+            base.am_user.len() as u64 + adds.am_add.len() as u64,
+            base.und_nbr.len() as u64 + adds.und_add.len() as u64,
+        ];
+        for (grown, name) in grown.into_iter().zip(DELTA_LIST_NAMES) {
             if grown > u64::from(u32::MAX) {
                 return Err(StoreError::CountMismatch {
                     what: name,
@@ -2067,100 +2102,17 @@ impl DeltaDay {
                     found: grown,
                 });
             }
-            let rows = off.len().saturating_sub(1);
-            for &(r, v) in adds {
-                let i = r as usize;
-                if i < rows
-                    && data[off[i] as usize..off[i + 1] as usize]
-                        .binary_search(&v)
-                        .is_ok()
-                {
-                    return Err(StoreError::BadCodec {
-                        array: name,
-                        reason: "add duplicates an edge of the base day",
-                    });
-                }
-            }
-            Ok(())
         }
-        check_adds(
-            &base.out_off,
-            &base.out_dst,
-            &self.out_add,
-            DELTA_LIST_NAMES[0],
-        )?;
-        check_adds(
-            &base.in_off,
-            &base.in_src,
-            &self.in_add,
-            DELTA_LIST_NAMES[1],
-        )?;
-        check_adds(
-            &base.ua_off,
-            &base.ua_attr,
-            &self.ua_add,
-            DELTA_LIST_NAMES[2],
-        )?;
-        check_adds(
-            &base.am_off,
-            &base.am_user,
-            &self.am_add,
-            DELTA_LIST_NAMES[3],
-        )?;
-        check_adds(
-            &base.und_off,
-            &base.und_nbr,
-            &self.und_add,
-            DELTA_LIST_NAMES[4],
-        )?;
-        let (n, m) = (n as usize, m as usize);
         let mut snap = CsrSan::default();
-        crate::delta::patch_csr_into(
-            &base.out_off,
-            &base.out_dst,
-            n,
-            &self.out_add,
-            &mut snap.out_off,
-            &mut snap.out_dst,
-        );
-        crate::delta::patch_csr_into(
-            &base.in_off,
-            &base.in_src,
-            n,
-            &self.in_add,
-            &mut snap.in_off,
-            &mut snap.in_src,
-        );
-        crate::delta::patch_csr_into(
-            &base.ua_off,
-            &base.ua_attr,
-            n,
-            &self.ua_add,
-            &mut snap.ua_off,
-            &mut snap.ua_attr,
-        );
-        crate::delta::patch_csr_into(
-            &base.am_off,
-            &base.am_user,
-            m,
-            &self.am_add,
-            &mut snap.am_off,
-            &mut snap.am_user,
-        );
-        crate::delta::patch_csr_into(
-            &base.und_off,
-            &base.und_nbr,
-            n,
-            &self.und_add,
-            &mut snap.und_off,
-            &mut snap.und_nbr,
-        );
-        snap.attr_types.clear();
-        snap.attr_types.reserve_exact(m);
-        snap.attr_types.extend_from_slice(&base.attr_types);
-        snap.attr_types.extend_from_slice(&self.attr_type_add);
-        snap.num_social_links = self.num_social_links as usize;
-        snap.num_attr_links = self.num_attr_links as usize;
+        let skipped = adds.patch_into(base, n as usize, m as usize, &mut snap);
+        // The merge skips an add that duplicates an edge the base already
+        // holds; any skip fails the day, naming the first such list.
+        if let Some(i) = skipped.iter().position(|&k| k != 0) {
+            return Err(StoreError::BadCodec {
+                array: DELTA_LIST_NAMES[i],
+                reason: "add duplicates an edge of the base day",
+            });
+        }
         Ok(snap)
     }
 }
@@ -2384,8 +2336,9 @@ impl SnapshotVault {
     /// streaming writer keeps it resident, so no reload happens here).
     /// Fails with [`StoreError::DayNotPersisted`] when the base is not in
     /// the manifest, and with [`StoreError::BadManifest`] when the base
-    /// does not precede `day` or the resulting chain would exceed
-    /// [`MAX_DELTA_CHAIN`].
+    /// does not precede `day`, the resulting chain would exceed
+    /// [`MAX_DELTA_CHAIN`], or `snap` does not contain `base`. Every
+    /// failure is returned before any file or manifest write.
     pub fn save_day_delta(
         &mut self,
         day: u32,
@@ -2412,7 +2365,7 @@ impl SnapshotVault {
                 ),
             });
         }
-        let delta = delta_between(base_day, base, snap);
+        let delta = delta_between(day, base_day, base, snap)?;
         self.persist_day(day, DayFormat::V2Delta { base: base_day }, |w| {
             delta.write_to(w)
         })
@@ -3068,6 +3021,49 @@ mod tests {
             .expect("vault has days at or before 5");
         assert_eq!(persisted, 3);
         assert_eq!(*freezer.snapshot(), snaps[3]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn save_day_delta_refuses_a_base_the_day_does_not_contain() {
+        let freeze = |nodes: usize, links: &[(u32, u32)], attrs: &[AttrType]| {
+            let mut g = San::new();
+            for _ in 0..nodes {
+                g.add_social_node();
+            }
+            for &ty in attrs {
+                g.add_attr_node(ty);
+            }
+            for &(s, d) in links {
+                g.add_social_link(SocialId(s), SocialId(d));
+            }
+            g.freeze()
+        };
+        let base = freeze(3, &[(0, 1)], &[AttrType::School]);
+        let cases = [
+            ("lost link", freeze(3, &[(1, 0)], &[AttrType::School])),
+            ("shrunk rows", freeze(2, &[(0, 1)], &[AttrType::School])),
+            ("retyped attr", freeze(3, &[(0, 1)], &[AttrType::City])),
+        ];
+        let dir = std::env::temp_dir().join(format!("san-vault-notsub-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        let mut vault = SnapshotVault::create(&dir).unwrap();
+        vault.save_day_v2(0, &base).unwrap();
+        for (ctx, day) in &cases {
+            let err = vault.save_day_delta(1, 0, &base, day).unwrap_err();
+            assert!(
+                matches!(&err, StoreError::BadManifest { reason, .. } if reason.contains("does not contain")),
+                "{ctx}: {err}"
+            );
+            assert!(!vault.day_path(1).exists(), "{ctx}: day file written");
+            assert_eq!(vault.days().collect::<Vec<_>>(), vec![0], "{ctx}");
+            let reopened = SnapshotVault::open(&dir).unwrap();
+            assert_eq!(reopened.days().collect::<Vec<_>>(), vec![0], "{ctx}");
+        }
+        // A containing day still persists and loads.
+        let grown = freeze(3, &[(0, 1), (1, 0)], &[AttrType::School]);
+        vault.save_day_delta(1, 0, &base, &grown).unwrap();
+        assert_eq!(*vault.load_day(1).unwrap(), grown);
         let _ = fs::remove_dir_all(&dir);
     }
 

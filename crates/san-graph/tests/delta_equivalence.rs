@@ -55,6 +55,76 @@ fn arb_timeline(max_ops: usize) -> impl Strategy<Value = SanTimeline> {
     })
 }
 
+/// Strategy: a raw day-ordered event log of the kind a `TimelineBuilder`
+/// never records — self-loops, links repeated within and across days,
+/// reciprocal pairs inside one day, and attribute links to an attribute
+/// node born the same day — so the patch's dedup and merge must reject
+/// exactly what replay rejects.
+fn arb_raw_log(max_ops: usize) -> impl Strategy<Value = SanTimeline> {
+    prop::collection::vec((0u8..7, any::<u32>(), any::<u32>()), 1..max_ops).prop_map(|ops| {
+        let mut events = vec![SanEvent::SocialNode { day: 0 }];
+        let (mut day, mut ns, mut na) = (0u32, 1u32, 0u32);
+        let mut links: Vec<(SocialId, SocialId)> = Vec::new();
+        for (op, x, y) in ops {
+            let (src, dst) = (SocialId(x % ns), SocialId(y % ns));
+            match op {
+                0 => {
+                    events.push(SanEvent::SocialNode { day });
+                    ns += 1;
+                }
+                1 => {
+                    // A self-loop whenever `src == dst`.
+                    events.push(SanEvent::SocialLink { day, src, dst });
+                    links.push((src, dst));
+                }
+                2 => {
+                    events.push(SanEvent::SocialLink { day, src, dst });
+                    events.push(SanEvent::SocialLink {
+                        day,
+                        src: dst,
+                        dst: src,
+                    });
+                    links.push((src, dst));
+                }
+                3 if !links.is_empty() => {
+                    let (src, dst) = links[x as usize % links.len()];
+                    events.push(SanEvent::SocialLink { day, src, dst });
+                }
+                4 => {
+                    events.push(SanEvent::AttrNode {
+                        day,
+                        ty: AttrType::Employer,
+                    });
+                    events.push(SanEvent::AttrLink {
+                        day,
+                        user: src,
+                        attr: AttrId(na),
+                    });
+                    na += 1;
+                }
+                5 if na > 0 => {
+                    // Often a repeat of an earlier attribute link.
+                    let attr = AttrId(y % na);
+                    events.push(SanEvent::AttrLink {
+                        day,
+                        user: src,
+                        attr,
+                    });
+                }
+                _ => day += 1 + x % 3,
+            }
+        }
+        SanTimeline::from_events(events)
+    })
+}
+
+/// The events of days `a..=b`, concatenated in log order.
+fn days_slice(events: &[SanEvent], a: u32, b: u32) -> &[SanEvent] {
+    let start = events.partition_point(|e| e.day() < a);
+    let end = events.partition_point(|e| e.day() <= b);
+    &events[start..end]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -134,6 +204,41 @@ proptest! {
                 freezer.apply_day(&events[start..idx]);
             }
             prop_assert_eq!(freezer.current(), &tl.snapshot_csr(max_day));
+        }
+    }
+
+    /// One patch over the concatenated events of days `a..=b` equals
+    /// patching them day by day and equals replay of day `b`.
+    #[test]
+    fn batched_patch_equals_day_by_day_and_replay(
+        tl in arb_raw_log(120),
+        a_raw in any::<u32>(),
+        len_raw in any::<u32>(),
+    ) {
+        let max_day = tl.max_day().expect("the log starts with a node");
+        let a = a_raw % (max_day + 1);
+        let b = a + len_raw % (max_day - a + 1);
+        let start = || match a {
+            0 => DeltaFreezer::new(),
+            _ => DeltaFreezer::from_snapshot(tl.snapshot_csr(a - 1)),
+        };
+        let events = tl.events();
+        let mut batched = start();
+        batched.apply_day(days_slice(events, a, b));
+        let mut daily = start();
+        for day in a..=b {
+            daily.apply_day(days_slice(events, day, day));
+        }
+        prop_assert_eq!(batched.current(), daily.current(), "days {}..={}", a, b);
+        prop_assert_eq!(batched.current(), &tl.snapshot_csr(b), "days {}..={}", a, b);
+    }
+
+    /// The stream over a raw log (one patch per yielded day) equals replay
+    /// at every sampled day.
+    #[test]
+    fn stream_over_raw_log_equals_replay(tl in arb_raw_log(120), step_raw in 1u32..9) {
+        for (day, snap) in tl.snapshot_stream(step_raw) {
+            prop_assert_eq!(&*snap, &tl.snapshot_csr(day), "step={} day={}", step_raw, day);
         }
     }
 }

@@ -384,10 +384,10 @@ where
 /// materialising every sampled snapshot up front. Worth it when the
 /// metrics outweigh the single producer's delta-freeze. On a Google+
 /// timeline at 400 arrivals/day (every 7th day, 2-vCPU VM) the producer
-/// spends ≈30 ms per sampled day replaying and freezing, against ≈53 ms
-/// of HyperANF diameter (`b = 4`) and ≈16 ms of exact social clustering
-/// per day: the diameter still gains from the fan-out, clustering alone
-/// is bound by the producer. For cheap metrics prefer the single-pass
+/// spends ≈9 ms per sampled day — one sort and one merge over the week's
+/// events — against ≈50 ms of HyperANF diameter (`b = 4`) and ≈16–24 ms
+/// of exact social clustering per day, so both gain from the fan-out.
+/// For cheap metrics prefer the single-pass
 /// [`evolve_metric`], for counter-only metrics [`evolve_metric_counts`],
 /// and when a *single* day should saturate the machine,
 /// [`evolve_metric_sharded`].
